@@ -9,7 +9,6 @@
 use tesseract_baselines::megatron::{MegatronTransformer, MegatronWorld};
 use tesseract_comm::Cluster;
 use tesseract_core::analysis::{memory_megatron, memory_tesseract};
-use tesseract_core::layers::StackOptions;
 use tesseract_core::partition::{a_block_shape, b_block_shape};
 use tesseract_core::{GridShape, Module, TesseractGrid, TesseractTransformer, TransformerConfig};
 use tesseract_tensor::{ShadowTensor, TensorLike};
@@ -99,26 +98,26 @@ fn main() {
     }
 
     // Measured peak of *tape-held* activations over a full forward +
-    // backward — the high-water mark training actually pays. Tesseract
-    // already 2-D-shards every wide activation, so sequence parallelism's
-    // incremental saving is the per-row layer-norm stat vectors (exact
-    // bytes, strictly smaller); recomputation (checkpoint every k layers)
-    // drops whole segments and dominates at depth.
+    // backward — the high-water mark training actually pays.
+    // Recomputation (checkpoint every k layers) drops whole segments'
+    // tapes until backward replays them.
     let stack_cfg = TransformerConfig { layers: 4, ..cfg };
     println!("\n### measured-peak: per-GPU tape high-water bytes, 4-layer stack fwd+bwd\n");
     println!("| arrangement | mode | measured-peak bytes/GPU |");
     println!("|---|---|---|");
     for (q, d) in [(2usize, 2usize), (4, 4)] {
         let shape = GridShape::new(q, d);
-        for (mode, opts) in [
-            ("dense", StackOptions::default()),
-            ("sp", StackOptions { sequence_parallel: true, recompute_every: None }),
-            ("sp+rc k=1", StackOptions { sequence_parallel: true, recompute_every: Some(1) }),
-        ] {
+        for (mode, recompute_every) in [("dense", None), ("rc k=1", Some(1))] {
             let out = Cluster::a100(shape.size()).run(|ctx| {
                 let grid = TesseractGrid::new(ctx, shape, 0);
-                let mut model = TesseractTransformer::<ShadowTensor>::new_with_options(
-                    ctx, &grid, stack_cfg, true, 0, 0, opts,
+                let mut model = TesseractTransformer::<ShadowTensor>::new_with_recompute(
+                    ctx,
+                    &grid,
+                    stack_cfg,
+                    true,
+                    0,
+                    0,
+                    recompute_every,
                 );
                 let x = std::sync::Arc::new(ShadowTensor::new(
                     stack_cfg.rows() / (q * d),

@@ -73,28 +73,6 @@ impl Cluster {
         crate::RunConfig::from_env(world).cluster()
     }
 
-    /// A cluster with explicit topology and cost constants.
-    #[deprecated(note = "build a `RunConfig` and call `.cluster()` instead")]
-    pub fn custom(world: usize, topology: Topology, params: CostParams) -> Self {
-        crate::RunConfig::from_env(world).with_topology(topology).with_params(params).cluster()
-    }
-
-    /// Enables (or disables) per-rank event tracing for this cluster.
-    #[deprecated(note = "set tracing on the `RunConfig` via `RunConfig::with_trace`")]
-    pub fn with_trace(mut self, trace: bool) -> Self {
-        self.trace = trace;
-        self
-    }
-
-    /// Sets an explicit rendezvous timeout for this cluster's fabric.
-    #[deprecated(
-        note = "set the timeout on the `RunConfig` via `RunConfig::with_rendezvous_timeout_secs`"
-    )]
-    pub fn with_rendezvous_timeout_secs(mut self, secs: u64) -> Self {
-        self.rendezvous_timeout_secs = Some(secs);
-        self
-    }
-
     /// Runs `f` as one thread per rank and gathers results in rank order.
     ///
     /// Panics in any rank are propagated (after all threads finish or time

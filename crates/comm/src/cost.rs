@@ -20,23 +20,19 @@ pub enum CollectiveOp {
     AllGather,
     Gather,
     Scatter,
-    ReduceScatter,
-    AllToAll,
     Shift,
     Barrier,
     SendRecv,
 }
 
 impl CollectiveOp {
-    pub const ALL: [CollectiveOp; 11] = [
+    pub const ALL: [CollectiveOp; 9] = [
         CollectiveOp::Broadcast,
         CollectiveOp::Reduce,
         CollectiveOp::AllReduce,
         CollectiveOp::AllGather,
         CollectiveOp::Gather,
         CollectiveOp::Scatter,
-        CollectiveOp::ReduceScatter,
-        CollectiveOp::AllToAll,
         CollectiveOp::Shift,
         CollectiveOp::Barrier,
         CollectiveOp::SendRecv,
@@ -50,8 +46,6 @@ impl CollectiveOp {
             CollectiveOp::AllGather => "all_gather",
             CollectiveOp::Gather => "gather",
             CollectiveOp::Scatter => "scatter",
-            CollectiveOp::ReduceScatter => "reduce_scatter",
-            CollectiveOp::AllToAll => "all_to_all",
             CollectiveOp::Shift => "shift",
             CollectiveOp::Barrier => "barrier",
             CollectiveOp::SendRecv => "send_recv",
@@ -162,11 +156,6 @@ impl CostParams {
     /// * all-reduce: ring, `2(n−1)α + 2 (n−1)/n · bytes/β`
     /// * all-gather: ring, `(n−1)α + (n−1) · bytes/β` (each step moves one
     ///   rank's block)
-    /// * reduce-scatter: ring, `(n−1)α + (n−1)/n · bytes/β` — the first
-    ///   half of the ring all-reduce (`bytes` is the full input each rank
-    ///   contributes; each keeps a `1/n` slice of the sum)
-    /// * all-to-all: pairwise exchange, `(n−1)α + (n−1)/n · bytes/β`
-    ///   (`bytes` is one rank's full payload; each peer receives `1/n`)
     /// * shift: one concurrent point-to-point round, `α + bytes/β`
     /// * barrier: `2α⌈log₂ n⌉`
     /// * send/recv: `α + bytes/β`
@@ -185,9 +174,6 @@ impl CostParams {
             | CollectiveOp::Gather => log_n * alpha + b / beta,
             CollectiveOp::AllReduce => 2.0 * (nf - 1.0) * alpha + 2.0 * (nf - 1.0) / nf * b / beta,
             CollectiveOp::AllGather => (nf - 1.0) * (alpha + b / beta),
-            CollectiveOp::ReduceScatter | CollectiveOp::AllToAll => {
-                (nf - 1.0) * alpha + (nf - 1.0) / nf * b / beta
-            }
             CollectiveOp::Shift | CollectiveOp::SendRecv => alpha + b / beta,
             CollectiveOp::Barrier => 2.0 * alpha * log_n,
         }
@@ -266,19 +252,11 @@ impl CostParams {
                     Link::InfiniBand,
                 ),
             ),
-            CollectiveOp::ReduceScatter => (
-                self.collective_time(CollectiveOp::Reduce, m, bytes, Link::NvLink)
-                    + self.collective_time(CollectiveOp::Scatter, m, bytes, Link::NvLink),
-                self.collective_time(CollectiveOp::ReduceScatter, p.nodes, bytes, Link::InfiniBand),
-            ),
             CollectiveOp::Barrier => (
                 self.collective_time(CollectiveOp::Barrier, m, 0, Link::NvLink),
                 self.collective_time(CollectiveOp::Barrier, p.nodes, 0, Link::InfiniBand),
             ),
-            // All-to-all is a pairwise exchange: every rank talks to every
-            // peer directly, so a leader hierarchy saves nothing — charged
-            // flat, like the other point-to-point shapes.
-            CollectiveOp::AllToAll | CollectiveOp::Shift | CollectiveOp::SendRecv => (0.0, flat),
+            CollectiveOp::Shift | CollectiveOp::SendRecv => (0.0, flat),
         };
         let nv_floor = self.collective_time(op, n, bytes, Link::NvLink);
         let total = flat.min((intra + inter).max(nv_floor));
@@ -297,7 +275,6 @@ impl CostParams {
             CollectiveOp::Broadcast | CollectiveOp::Reduce => b * (n64 - 1),
             CollectiveOp::AllReduce => 2 * b * (n64 - 1),
             CollectiveOp::AllGather | CollectiveOp::Gather | CollectiveOp::Scatter => b * (n64 - 1),
-            CollectiveOp::ReduceScatter | CollectiveOp::AllToAll => b * (n64 - 1),
             CollectiveOp::Shift => b * n64,
             CollectiveOp::Barrier => 0,
             CollectiveOp::SendRecv => b,

@@ -340,8 +340,8 @@ pub struct RankReport {
     /// Peak bytes of tape-held activations resident on this rank at any
     /// point in the run (a high-water mark, not a flow; zero for serving
     /// runs). This is the measured number the memory table's
-    /// measured-peak column and `plan`'s dry-run report — what sequence
-    /// parallelism and checkpointed recomputation shrink.
+    /// measured-peak column and `plan`'s dry-run report — what
+    /// checkpointed recomputation shrinks.
     pub activation_bytes_peak: u64,
     /// Simulated seconds spent idle waiting for future arrivals (via
     /// `RankCtx::idle_until`; zero for training runs). Idle time is part

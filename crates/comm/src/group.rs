@@ -555,41 +555,6 @@ impl CommGroup {
         shared.iter().map(|d| self.clone_counted(ctx, CollectiveOp::AllGather, &**d)).collect()
     }
 
-    /// Fused reduce-scatter: every member's payload is consumed by value
-    /// and folded exactly once in ascending member order — the identical
-    /// fold [`CommGroup::all_reduce_shared`] performs, so the combined
-    /// values are bitwise equal to an all-reduce — but the op is *charged*
-    /// as a ring reduce-scatter (half the all-reduce's wire volume: each
-    /// member keeps only a `1/n` slice). The shared-memory fabric hands
-    /// every member an `Arc` of the full fold; the caller materializes its
-    /// own slice (the "scatter" half), which is metered as data movement at
-    /// the call site. This is what lets the sequence-parallel matmul path
-    /// replace a reduce-to-root with a reduce-scatter without perturbing
-    /// the fold order the parity tests pin.
-    pub fn reduce_scatter_shared<P: Payload>(&self, ctx: &mut RankCtx, payload: P) -> Arc<P> {
-        let mut span = CommScope::open(ctx, CollectiveOp::ReduceScatter);
-        let combined = self.sync_reduce(ctx, CollectiveOp::ReduceScatter, payload, &mut span);
-        span.finish(ctx);
-        combined
-    }
-
-    /// Zero-copy all-to-all: every member deposits one `Arc` payload and
-    /// receives `Arc` clones of every member's deposit, in member order —
-    /// exactly the rendezvous shape of [`CommGroup::all_gather_shared`] —
-    /// but charged as a pairwise all-to-all (`(n−1)α + (n−1)/n · b/β`: each
-    /// peer only consumes a `1/n` slice of each deposit). The caller slices
-    /// the portion addressed to it out of each deposit; those slices are
-    /// metered as data movement at the call site. Used for the
-    /// sequence-parallel boundary re-shards (`[R, c] ↔ [R/q, c·q]`).
-    pub fn all_to_all_shared<P: Payload>(&self, ctx: &mut RankCtx, payload: Arc<P>) -> Vec<Arc<P>> {
-        let bytes = payload.wire_size();
-        let mut span = CommScope::open(ctx, CollectiveOp::AllToAll);
-        let deposits =
-            self.sync(ctx, CollectiveOp::AllToAll, Some(bytes), Some(payload), &mut span);
-        span.finish(ctx);
-        deposits.iter().map(|d| Arc::clone(d.as_ref().expect("all deposited"))).collect()
-    }
-
     /// Root receives every member's payload, in member order (`n` counted
     /// copies, all at the root).
     pub fn gather<P: Payload>(&self, ctx: &mut RankCtx, root: usize, payload: P) -> Option<Vec<P>> {
@@ -928,69 +893,6 @@ impl CommGroup {
     ) -> PendingCollective<'g, Vec<P>> {
         self.all_gather_shared_begin(ctx, Arc::new(payload)).map(move |ctx, shared| {
             shared.iter().map(|d| self.clone_counted(ctx, CollectiveOp::AllGather, &**d)).collect()
-        })
-    }
-
-    /// Split-phase [`CommGroup::reduce_scatter_shared`]: the payload is
-    /// consumed and deposited immediately; `complete` hands every member
-    /// the full ascending-order fold (bitwise identical to all-reduce),
-    /// charged as a reduce-scatter. Slots into the SUMMA split-phase
-    /// schedule exactly where a `reduce_shared_begin` sat.
-    pub fn reduce_scatter_shared_begin<'g, P: Payload>(
-        &'g self,
-        ctx: &mut RankCtx,
-        payload: P,
-    ) -> PendingCollective<'g, Arc<P>> {
-        let (seq, deposit_vt, bytes) = self.begin_reduce(ctx, payload);
-        self.pending(CollectiveOp::ReduceScatter, seq, move |ctx| {
-            self.pop_outstanding(CollectiveOp::ReduceScatter, seq);
-            let mut span =
-                CommScope::open_at(ctx, CollectiveOp::ReduceScatter, (self.id, seq), deposit_vt);
-            ctx.flush_compute();
-            let (max_vt, combined) =
-                ctx.fabric().wait_reduce::<P>((self.id, seq), self.my_index, self.size());
-            self.finish_charge(
-                ctx,
-                CollectiveOp::ReduceScatter,
-                max_vt,
-                bytes,
-                deposit_vt,
-                false,
-                &mut span,
-            );
-            span.finish(ctx);
-            combined
-        })
-    }
-
-    /// Split-phase [`CommGroup::all_to_all_shared`]: deposits this member's
-    /// `Arc` immediately; `complete` returns every member's deposit in
-    /// member order, charged as a pairwise all-to-all.
-    pub fn all_to_all_shared_begin<'g, P: Payload>(
-        &'g self,
-        ctx: &mut RankCtx,
-        payload: Arc<P>,
-    ) -> PendingCollective<'g, Vec<Arc<P>>> {
-        let bytes = payload.wire_size();
-        let (seq, deposit_vt) = self.begin_sync(ctx, Some(payload));
-        self.pending(CollectiveOp::AllToAll, seq, move |ctx| {
-            self.pop_outstanding(CollectiveOp::AllToAll, seq);
-            let mut span =
-                CommScope::open_at(ctx, CollectiveOp::AllToAll, (self.id, seq), deposit_vt);
-            ctx.flush_compute();
-            let (max_vt, deposits) =
-                ctx.fabric().wait::<Arc<P>>((self.id, seq), self.my_index, self.size());
-            self.finish_charge(
-                ctx,
-                CollectiveOp::AllToAll,
-                max_vt,
-                bytes,
-                deposit_vt,
-                false,
-                &mut span,
-            );
-            span.finish(ctx);
-            deposits.iter().map(|d| Arc::clone(d.as_ref().expect("all deposited"))).collect()
         })
     }
 

@@ -1,12 +1,12 @@
 //! The unified run configuration.
 //!
-//! Everything that used to be scattered across `Cluster::custom`,
-//! `Cluster::with_trace`, `Cluster::with_rendezvous_timeout_secs` and the
+//! The cluster shape, the cost model, the per-run toggles and the
 //! `TESSERACT_THREADS` / `TESSERACT_KERNEL` / `TESSERACT_TRACE` /
-//! `TESSERACT_RENDEZVOUS_TIMEOUT_SECS` environment knobs lives in one
+//! `TESSERACT_RENDEZVOUS_TIMEOUT_SECS` environment knobs live in one
 //! builder: construct a [`RunConfig`], override what you need, and call
-//! [`RunConfig::cluster`]. New execution options (sequence parallelism,
-//! tape recomputation) are fields here instead of yet another constructor.
+//! [`RunConfig::cluster`]. It holds cluster and runtime knobs only; how a
+//! model executes (e.g. tape recomputation) is an argument of the model's
+//! own constructor.
 //!
 //! This module is the **only** place in the workspace that reads
 //! `TESSERACT_*` environment variables (`scripts/ci.sh` greps for strays).
@@ -28,9 +28,8 @@ use crate::fabric;
 use crate::topology::Topology;
 
 /// One-stop configuration for a simulated run: cluster shape and cost
-/// model, per-run toggles (tracing, rendezvous timeout), process-global
-/// knobs (threads, kernel) and execution options (sequence parallelism,
-/// recomputation) that model stacks read off the config.
+/// model, per-run toggles (tracing, rendezvous timeout) and process-global
+/// knobs (threads, kernel).
 #[derive(Clone, Copy, Debug)]
 pub struct RunConfig {
     /// Number of ranks the cluster spawns.
@@ -50,12 +49,6 @@ pub struct RunConfig {
     /// Rendezvous timeout for this cluster's fabric, in seconds. `None`
     /// uses the process default (120 s unless an installer changed it).
     pub rendezvous_timeout_secs: Option<u64>,
-    /// Shard layer-norm/residual activations along the sequence dimension
-    /// (consumed by model stacks via their `StackOptions`).
-    pub sequence_parallel: bool,
-    /// Checkpoint every `k` layers and recompute inside backward
-    /// (consumed by model stacks via their `StackOptions`).
-    pub recompute_every: Option<usize>,
 }
 
 impl RunConfig {
@@ -70,8 +63,6 @@ impl RunConfig {
             threads: None,
             kernel: None,
             rendezvous_timeout_secs: None,
-            sequence_parallel: false,
-            recompute_every: None,
         }
     }
 
@@ -154,18 +145,6 @@ impl RunConfig {
         self
     }
 
-    /// Shards layer-norm/residual activations along the sequence dimension.
-    pub fn with_sequence_parallel(mut self, on: bool) -> Self {
-        self.sequence_parallel = on;
-        self
-    }
-
-    /// Checkpoints every `k` layers, recomputing inside backward.
-    pub fn with_recompute_every(mut self, k: Option<usize>) -> Self {
-        self.recompute_every = k;
-        self
-    }
-
     /// Applies the process-global knobs (thread-pool size, forced kernel,
     /// trace default, rendezvous-timeout default). Idempotent; for each
     /// knob the first install wins, matching the old once-per-process env
@@ -233,13 +212,10 @@ mod tests {
 
     #[test]
     fn defaults_match_the_a100_cluster() {
-        let cfg = RunConfig::new(8);
-        let cluster = cfg.cluster();
+        let cluster = RunConfig::new(8).cluster();
         assert_eq!(cluster.world, 8);
         assert!(!cluster.trace);
         assert_eq!(cluster.rendezvous_timeout_secs, None);
-        assert!(!cfg.sequence_parallel);
-        assert_eq!(cfg.recompute_every, None);
     }
 
     #[test]

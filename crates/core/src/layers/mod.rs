@@ -8,11 +8,9 @@ pub mod transformer;
 
 pub use attention::TesseractAttention;
 pub use layernorm::TesseractLayerNorm;
-pub use linear::{SpMode, TesseractLinear};
+pub use linear::TesseractLinear;
 pub use mlp::TesseractMlp;
-pub use transformer::{
-    StackOptions, TesseractTransformer, TesseractTransformerLayer, PARAM_IDS_PER_LAYER,
-};
+pub use transformer::{TesseractTransformer, TesseractTransformerLayer, PARAM_IDS_PER_LAYER};
 
 // Re-exported for the many call sites that historically imported `ParamRef`
 // from the linear layer; it now lives in [`crate::module`].

@@ -37,7 +37,9 @@ fn lock_state(m: &Mutex<State>) -> MutexGuard<'_, State> {
 
 /// Type-erased pointer to the borrowed task closure of the active job.
 /// Validity: `parallel_for` does not return before `completed == n_tasks`,
-/// so workers never dereference it after the borrow ends.
+/// and a thread reads the pointer only in the same critical section that
+/// claims one of the job's task indices — so the job cannot complete (and
+/// the borrow cannot end) until that claimed task has run.
 #[derive(Clone, Copy)]
 struct TaskRef(*const (dyn Fn(usize) + Sync + 'static));
 // SAFETY: the closure itself is `Sync`, and the raw pointer is only shared
@@ -134,7 +136,7 @@ impl ThreadPool {
         }
 
         // The submitting thread works too, then waits for stragglers.
-        let caller_panicked = !drain_tasks(&self.shared, body);
+        let caller_panicked = !drain_tasks(&self.shared);
 
         let panicked = {
             let mut state = lock_state(&self.shared.state);
@@ -172,10 +174,14 @@ fn run_inline(n_tasks: usize, body: &(dyn Fn(usize) + Sync)) {
 
 /// Claims and runs tasks of the active job until none are left. Returns
 /// `false` if any task this thread ran panicked (recorded in the job too).
-fn drain_tasks(shared: &Shared, body: &(dyn Fn(usize) + Sync)) -> bool {
+///
+/// Each claim takes the task closure and the index from the same job in
+/// one critical section: a thread that last looked at a job which has
+/// since finished must never run that job's closure on a newer job's index.
+fn drain_tasks(shared: &Shared) -> bool {
     let mut ok = true;
     loop {
-        let idx = {
+        let (task, idx) = {
             let mut state = lock_state(&shared.state);
             let Some(job) = state.job.as_mut() else { return ok };
             if job.next >= job.n_tasks {
@@ -183,8 +189,11 @@ fn drain_tasks(shared: &Shared, body: &(dyn Fn(usize) + Sync)) -> bool {
             }
             let idx = job.next;
             job.next += 1;
-            idx
+            (job.task, idx)
         };
+        // SAFETY: the claimed index keeps its job open until the
+        // completion below is recorded (TaskRef invariant).
+        let body = unsafe { &*task.0 };
         let panicked = catch_unwind(AssertUnwindSafe(|| body(idx))).is_err();
         let mut state = lock_state(&shared.state);
         let job = state.job.as_mut().expect("job open while tasks in flight");
@@ -202,21 +211,19 @@ fn drain_tasks(shared: &Shared, body: &(dyn Fn(usize) + Sync)) -> bool {
 fn worker_loop(shared: &Shared) {
     loop {
         // Wait until there is claimable work or shutdown.
-        let task = {
+        {
             let mut state = lock_state(&shared.state);
             loop {
                 if state.shutdown {
                     return;
                 }
-                match state.job.as_mut() {
-                    Some(job) if job.next < job.n_tasks => break job.task,
+                match state.job.as_ref() {
+                    Some(job) if job.next < job.n_tasks => break,
                     _ => state = shared.work.wait(state).unwrap(),
                 }
             }
-        };
-        // SAFETY: `task` stays valid while the job is open (TaskRef invariant).
-        let body = unsafe { &*task.0 };
-        drain_tasks(shared, body);
+        }
+        drain_tasks(shared);
     }
 }
 
@@ -337,6 +344,60 @@ mod tests {
             count.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(count.load(Ordering::Relaxed), 10);
+    }
+
+    #[test]
+    fn concurrent_submitters_only_run_their_own_tasks() {
+        // Many tiny jobs from several submitters on one 2-thread pool, so
+        // jobs turn over while the worker is between claims. Every job's
+        // closure and counters stay alive until the end: a task run under
+        // the wrong job's closure then shows up as a miss in one job and a
+        // double count in another instead of as a use-after-free, and the
+        // final sweep also catches tasks that ran after their job returned.
+        const SUBMITTERS: usize = 4;
+        const JOBS: usize = 8000;
+        const TASKS: usize = 4;
+        let pool = ThreadPool::new(2);
+        let hits: Vec<Vec<[AtomicUsize; TASKS]>> =
+            (0..SUBMITTERS).map(|_| (0..JOBS).map(|_| Default::default()).collect()).collect();
+        let missed = AtomicUsize::new(0);
+        std::thread::scope(|s| {
+            for mine in &hits {
+                let (pool, missed) = (&pool, &missed);
+                s.spawn(move || {
+                    let bodies: Vec<Box<dyn Fn(usize) + Sync + '_>> = mine
+                        .iter()
+                        .map(|job| {
+                            Box::new(move |i: usize| {
+                                // Long enough that the worker joins in.
+                                for _ in 0..64 {
+                                    std::hint::spin_loop();
+                                }
+                                job[i].fetch_add(1, Ordering::SeqCst);
+                            }) as Box<dyn Fn(usize) + Sync>
+                        })
+                        .collect();
+                    for (job, body) in mine.iter().zip(&bodies) {
+                        pool.parallel_for(TASKS, &**body);
+                        if job.iter().any(|h| h.load(Ordering::SeqCst) != 1) {
+                            missed.fetch_add(1, Ordering::SeqCst);
+                        }
+                    }
+                });
+            }
+        });
+        let bad = hits
+            .iter()
+            .flatten()
+            .filter(|job| job.iter().any(|h| h.load(Ordering::SeqCst) != 1))
+            .count();
+        assert_eq!(
+            (missed.into_inner(), bad),
+            (0, 0),
+            "jobs whose indices did not each run exactly once under their own closure \
+             (when parallel_for returned, at the end; of {})",
+            SUBMITTERS * JOBS
+        );
     }
 
     #[test]
