@@ -1,7 +1,7 @@
 //! Collectives sweep: the cloning (owned) collective path vs the `Arc`-shared
 //! zero-copy path, measured in **host wall time** and **payload copies**.
 //!
-//! Two sections:
+//! Three sections:
 //!
 //! * `collectives` — each collective (broadcast / reduce / all-reduce /
 //!   all-gather) run `iters` times on an 8-rank group with an `n×n` f32
@@ -12,7 +12,12 @@
 //!   skinny activations (`A` is `64×n` against the `n×n` weight, the
 //!   transformer linear-layer regime where panel broadcasts are a
 //!   first-order cost), comparing the shipped zero-copy `tesseract_matmul*`
-//!   against a verbatim re-creation of the pre-refactor cloning hot loop.
+//!   against a verbatim re-creation of the pre-refactor cloning hot loop;
+//! * `rendezvous` — host microseconds per round of a tiny (`1×1`)
+//!   all-reduce, on the world group at world 4 / 16 / 64 and on 32 disjoint
+//!   2-rank groups at world 64: the fabric's own cost (lock, wakeups,
+//!   slot bookkeeping) with no payload work to hide it. The `host` record
+//!   next to it says where it was measured.
 //!
 //! Payload copies never advance the simulated clocks — the wall-time columns
 //! are real host seconds, the copy columns are the counters the simulator
@@ -29,7 +34,8 @@ use tesseract_core::partition::{a_block, b_block};
 use tesseract_core::{
     tesseract_matmul, tesseract_matmul_nt, tesseract_matmul_tn, GridShape, TesseractGrid,
 };
-use tesseract_tensor::{DenseTensor, Matrix, TensorLike, Xoshiro256StarStar};
+use tesseract_tensor::matmul::active_kernel;
+use tesseract_tensor::{pool, DenseTensor, Matrix, TensorLike, Xoshiro256StarStar};
 
 const GROUP: usize = 8;
 const MATMUL_SHAPE: (usize, usize) = (4, 1); // [4, 4, 1]: the q >= 4 regime
@@ -177,6 +183,34 @@ fn matmul_round(shared: bool, n: usize, iters: usize) -> (u64, u64) {
     (out.comm.total_copies(), out.comm.total_copy_bytes())
 }
 
+/// Rounds per `rendezvous` measurement.
+const RENDEZVOUS_ROUNDS: usize = 1000;
+
+/// `(world, group size)` of each `rendezvous` case: the world group at
+/// three sizes, then 32 disjoint pairs sharing one 64-rank fabric.
+const RENDEZVOUS_CASES: [(usize, usize); 4] = [(4, 4), (16, 16), (64, 64), (64, 2)];
+
+/// Host µs per round of `rounds` tiny all-reduces on disjoint groups of
+/// `group_size` consecutive ranks of a `world`-rank cluster. Rank 0 times
+/// the rounds between two world barriers, so thread spawn is excluded.
+fn rendezvous_round_us(world: usize, group_size: usize, rounds: usize) -> f64 {
+    let out = Cluster::a100(world).run(move |ctx| {
+        let all = ctx.world_group();
+        let first = ctx.rank / group_size * group_size;
+        let group = ctx.group("rendezvous", (first..first + group_size).collect());
+        let one = DenseTensor::from_matrix(Matrix::full(1, 1, 1.0));
+        all.barrier(ctx);
+        let start = Instant::now();
+        for _ in 0..rounds {
+            let sum = group.all_reduce_shared(ctx, one.clone());
+            assert_eq!(sum.matrix()[(0, 0)], group_size as f32, "tiny all-reduce miscounted");
+        }
+        all.barrier(ctx);
+        start.elapsed().as_nanos() as f64 / 1e3 / rounds as f64
+    });
+    out.results[0]
+}
+
 struct OpRow {
     op: &'static str,
     n: usize,
@@ -282,6 +316,22 @@ global A {STEP_ROWS} x n, B n x n, {iters} steps)\n"
         });
     }
 
+    println!(
+        "\n### rendezvous (1x1 all-reduce, host us per round, median of {reps} x \
+{RENDEZVOUS_ROUNDS} rounds)\n"
+    );
+    println!("| world | groups x size | us/round |");
+    println!("|---|---|---|");
+    let mut rendezvous_rows = Vec::new();
+    for (world, size) in RENDEZVOUS_CASES {
+        let mut samples: Vec<f64> =
+            (0..reps.max(1)).map(|_| rendezvous_round_us(world, size, RENDEZVOUS_ROUNDS)).collect();
+        samples.sort_by(|a, b| a.total_cmp(b));
+        let us = samples[samples.len() / 2];
+        println!("| {world} | {} x {size} | {us:.1} |", world / size);
+        rendezvous_rows.push((world, size, us));
+    }
+
     let mut json = String::from("{\n");
     json.push_str("  \"bench\": \"collectives_sweep\",\n");
     json.push_str(
@@ -323,6 +373,23 @@ global A {STEP_ROWS} x n, B n x n, {iters} steps)\n"
             r.shared_copies,
             r.shared_copy_bytes,
             if i + 1 == step_rows.len() { "" } else { "," }
+        ));
+    }
+    json.push_str("  ],\n");
+    json.push_str(&format!(
+        "  \"host\": {{ \"cpus\": {}, \"kernel\": \"{}\", \"pool_threads\": {} }},\n",
+        pool::host_threads(),
+        active_kernel().name(),
+        pool::global().threads()
+    ));
+    json.push_str(&format!("  \"rendezvous_rounds\": {RENDEZVOUS_ROUNDS},\n"));
+    json.push_str("  \"rendezvous\": [\n");
+    for (i, (world, size, us)) in rendezvous_rows.iter().enumerate() {
+        json.push_str(&format!(
+            "    {{ \"world\": {world}, \"groups\": {}, \"group_size\": {size}, \
+\"host_us_per_round\": {us:.1} }}{}\n",
+            world / size,
+            if i + 1 == rendezvous_rows.len() { "" } else { "," }
         ));
     }
     json.push_str("  ]\n}\n");

@@ -10,7 +10,7 @@ use tesseract_tensor::{trace, TraceEvent};
 
 use crate::cost::CostParams;
 use crate::ctx::{RankCtx, RankReport};
-use crate::fabric::Fabric;
+use crate::fabric::{is_timeout_panic, Fabric};
 use crate::stats::{CommStats, StatsCollector};
 use crate::topology::Topology;
 
@@ -75,8 +75,10 @@ impl Cluster {
 
     /// Runs `f` as one thread per rank and gathers results in rank order.
     ///
-    /// Panics in any rank are propagated (after all threads finish or time
-    /// out) with the rank id attached.
+    /// Panics in any rank are propagated, after every thread has finished
+    /// or timed out, with the rank id attached. The reported rank is the
+    /// first, in rank order, whose panic is not a fabric timeout: ranks
+    /// that time out are usually waiting on the rank that really failed.
     pub fn run<R, F>(&self, f: F) -> RunOutput<R>
     where
         R: Send,
@@ -90,7 +92,7 @@ impl Cluster {
         let stats = Arc::new(StatsCollector::new());
         let f = &f;
 
-        let mut outcomes: Vec<Option<(R, RankReport, Vec<TraceEvent>)>> =
+        let joined: Vec<std::thread::Result<(R, RankReport, Vec<TraceEvent>)>> =
             std::thread::scope(|scope| {
                 let handles: Vec<_> = (0..self.world)
                     .map(|rank| {
@@ -115,28 +117,36 @@ impl Cluster {
                         })
                     })
                     .collect();
-                handles
-                    .into_iter()
-                    .enumerate()
-                    .map(|(rank, h)| match h.join() {
-                        Ok(tuple) => Some(tuple),
-                        Err(e) => {
-                            let msg = e
-                                .downcast_ref::<String>()
-                                .map(String::as_str)
-                                .or_else(|| e.downcast_ref::<&str>().copied())
-                                .unwrap_or("<non-string panic>");
-                            panic!("rank {rank} panicked: {msg}");
-                        }
-                    })
-                    .collect()
+                // Join every rank before reporting: a rank blocked in a
+                // collective times out only after the rank whose panic
+                // wedged it has already died.
+                handles.into_iter().map(|h| h.join()).collect()
             });
+
+        let failures: Vec<(usize, String)> = joined
+            .iter()
+            .enumerate()
+            .filter_map(|(rank, outcome)| {
+                let e = outcome.as_ref().err()?;
+                let msg = e
+                    .downcast_ref::<String>()
+                    .map(String::as_str)
+                    .or_else(|| e.downcast_ref::<&str>().copied())
+                    .unwrap_or("<non-string panic>");
+                Some((rank, msg.to_string()))
+            })
+            .collect();
+        if let Some((rank, msg)) =
+            failures.iter().find(|(_, msg)| !is_timeout_panic(msg)).or_else(|| failures.first())
+        {
+            panic!("rank {rank} panicked: {msg}");
+        }
 
         let mut results = Vec::with_capacity(self.world);
         let mut reports = Vec::with_capacity(self.world);
         let mut traces = Vec::with_capacity(self.world);
-        for outcome in outcomes.drain(..) {
-            let (r, rep, events) = outcome.expect("all ranks joined");
+        for outcome in joined {
+            let (r, rep, events) = outcome.expect("failures panicked above");
             results.push(r);
             reports.push(rep);
             traces.push(events);

@@ -18,15 +18,24 @@
 //! so a rank can deposit a payload, go compute, and only pay the rendezvous
 //! wait when it actually needs the result.
 //!
+//! One mutex guards all slots and channels, but every slot and every
+//! channel has its own condition variable: the member that completes a
+//! rendezvous (or a `send`) wakes only the ranks parked on that key, so the
+//! many disjoint row, column and depth groups of a Tesseract grid never wake
+//! each other.
+//!
 //! SPMD contract: all members of a group must invoke the same collectives
 //! in the same order. A timeout (default 120 s, env-overridable)
 //! converts a violated contract (or a peer that panicked) into a
-//! diagnosable panic instead of a hang. The default is 120 seconds.
+//! diagnosable panic instead of a hang. The timeout is a deadline per
+//! wait: a rank that starts waiting at `t` panics at `t + timeout` if its
+//! rendezvous (or message) has not arrived, however much unrelated traffic
+//! flows through the fabric meanwhile.
 
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 static DEFAULT_TIMEOUT: OnceLock<Duration> = OnceLock::new();
 
@@ -45,8 +54,18 @@ fn rendezvous_timeout() -> Duration {
     DEFAULT_TIMEOUT.get().copied().unwrap_or(Duration::from_secs(120))
 }
 
+/// Whether a rank's panic message is a fabric wait timing out. A rank that
+/// times out is usually a bystander of some other rank's failure, so the
+/// cluster reports a non-timeout panic first.
+pub(crate) fn is_timeout_panic(msg: &str) -> bool {
+    (msg.starts_with("rendezvous ") || msg.starts_with("recv on channel "))
+        && msg.contains(" timed out")
+}
+
 type SlotKey = (u64, u64);
 type ChanKey = (u64, usize, usize, u64);
+/// A channel's queued `(send vt, payload)` messages and its wakeup.
+type Channel = (VecDeque<(f64, Box<dyn Any + Send>)>, Arc<Condvar>);
 
 struct Slot {
     deposits: Vec<Option<Box<dyn Any + Send>>>,
@@ -55,6 +74,9 @@ struct Slot {
     /// `(max entry vt, downcast-ready vector)` once all members arrived.
     result: Option<(f64, Arc<dyn Any + Send + Sync>)>,
     taken: usize,
+    /// Wakes this slot's waiters only; the member that publishes `result`
+    /// notifies it.
+    ready: Arc<Condvar>,
 }
 
 impl Slot {
@@ -65,20 +87,64 @@ impl Slot {
             arrived: 0,
             result: None,
             taken: 0,
+            ready: Arc::new(Condvar::new()),
         }
+    }
+
+    /// Records member `my_index`'s deposit; returns whether it completed
+    /// the slot.
+    fn deposit(
+        &mut self,
+        key: SlotKey,
+        my_index: usize,
+        n: usize,
+        deposit: Box<dyn Any + Send>,
+        entry_vt: f64,
+    ) -> bool {
+        assert_eq!(self.deposits.len(), n, "group size disagreement at rendezvous {key:?}");
+        assert!(
+            self.deposits[my_index].is_none() && self.result.is_none(),
+            "member {my_index} deposited twice at rendezvous {key:?}"
+        );
+        self.deposits[my_index] = Some(deposit);
+        self.entry_vts.push(entry_vt);
+        self.arrived += 1;
+        self.arrived == n
+    }
+
+    /// Moves every deposit out as a `T` and returns them with the maximum
+    /// entry vt. Called once, by the member that completed the slot.
+    fn take_deposits<T: 'static>(&mut self) -> (f64, Vec<T>) {
+        let max_vt = self.entry_vts.iter().copied().fold(f64::MIN, f64::max);
+        let parts = self
+            .deposits
+            .iter_mut()
+            .map(|d| {
+                *d.take()
+                    .expect("all deposits present")
+                    .downcast::<T>()
+                    .expect("payload type mismatch within one rendezvous")
+            })
+            .collect();
+        (max_vt, parts)
+    }
+
+    /// Publishes the rendezvous result and wakes this slot's waiters.
+    fn publish(&mut self, max_vt: f64, result: Arc<dyn Any + Send + Sync>) {
+        self.result = Some((max_vt, result));
+        self.ready.notify_all();
     }
 }
 
 #[derive(Default)]
 struct FabricState {
     slots: HashMap<SlotKey, Slot>,
-    channels: HashMap<ChanKey, VecDeque<(f64, Box<dyn Any + Send>)>>,
+    channels: HashMap<ChanKey, Channel>,
 }
 
 /// Shared rendezvous state for one cluster run.
 pub struct Fabric {
     state: Mutex<FabricState>,
-    cond: Condvar,
     /// Per-instance rendezvous timeout. Fixed at construction
     /// ([`Fabric::with_timeout`]) so failure-injection tests can shrink it
     /// without racing on the process environment.
@@ -91,6 +157,18 @@ pub struct Fabric {
 /// path and report the wedged rendezvous diagnostically.
 fn lock_fabric(m: &Mutex<FabricState>) -> MutexGuard<'_, FabricState> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Parks on `ready` until notified or `deadline` passes; `None` once the
+/// deadline has passed. Callers re-check their condition either way, so
+/// spurious wakeups are harmless.
+fn park_until<'a>(
+    ready: &Condvar,
+    state: MutexGuard<'a, FabricState>,
+    deadline: Instant,
+) -> Option<MutexGuard<'a, FabricState>> {
+    let left = deadline.checked_duration_since(Instant::now()).filter(|d| !d.is_zero())?;
+    Some(ready.wait_timeout(state, left).unwrap_or_else(PoisonError::into_inner).0)
 }
 
 impl Default for Fabric {
@@ -108,12 +186,12 @@ impl Fabric {
 
     /// A fabric whose rendezvous waits give up after `timeout`.
     pub fn with_timeout(timeout: Duration) -> Self {
-        Self { state: Mutex::new(FabricState::default()), cond: Condvar::new(), timeout }
+        Self { state: Mutex::new(FabricState::default()), timeout }
     }
 
     /// Non-blocking half of [`Fabric::exchange`]: publishes this member's
     /// contribution under `key` and returns immediately. The last arriver
-    /// assembles the deposit vector and wakes every waiter.
+    /// assembles the deposit vector and wakes the slot's waiters.
     ///
     /// Panics if a member deposits twice under one key (a sequencing bug).
     pub fn deposit<P: Send + Sync + 'static>(
@@ -126,28 +204,44 @@ impl Fabric {
     ) {
         let mut state = lock_fabric(&self.state);
         let slot = state.slots.entry(key).or_insert_with(|| Slot::new(n));
-        assert_eq!(slot.deposits.len(), n, "group size disagreement at rendezvous {key:?}");
-        assert!(
-            slot.deposits[my_index].is_none() && slot.result.is_none(),
-            "member {my_index} deposited twice at rendezvous {key:?}"
-        );
-        slot.deposits[my_index] = Some(Box::new(payload));
-        slot.entry_vts.push(entry_vt);
-        slot.arrived += 1;
-        if slot.arrived == n {
-            let max_vt = slot.entry_vts.iter().copied().fold(f64::MIN, f64::max);
-            let vec: Vec<Option<P>> = slot
-                .deposits
-                .iter_mut()
-                .map(|d| {
-                    *d.take()
-                        .expect("all deposits present")
-                        .downcast::<Option<P>>()
-                        .expect("payload type mismatch within one rendezvous")
-                })
-                .collect();
-            slot.result = Some((max_vt, Arc::new(vec)));
-            self.cond.notify_all();
+        if slot.deposit(key, my_index, n, Box::new(payload), entry_vt) {
+            let (max_vt, vec) = slot.take_deposits::<Option<P>>();
+            slot.publish(max_vt, Arc::new(vec));
+        }
+    }
+
+    /// Blocks until the slot under `key` has a result, takes this member's
+    /// share of it and garbage-collects the slot after the last taker.
+    /// The caller's own deposit keeps the slot alive until then.
+    ///
+    /// Panics if the result does not arrive within the timeout, or if this
+    /// member never deposited under `key`.
+    fn wait_erased(
+        &self,
+        key: SlotKey,
+        my_index: usize,
+        n: usize,
+    ) -> (f64, Arc<dyn Any + Send + Sync>) {
+        let deadline = Instant::now() + self.timeout;
+        let mut state = lock_fabric(&self.state);
+        loop {
+            let slot = state.slots.get_mut(&key).unwrap_or_else(|| {
+                panic!("wait on rendezvous {key:?} without a deposit (member {my_index} of {n})")
+            });
+            if let Some((max_vt, result)) = slot.result.clone() {
+                slot.taken += 1;
+                if slot.taken == n {
+                    state.slots.remove(&key);
+                }
+                return (max_vt, result);
+            }
+            let ready = Arc::clone(&slot.ready);
+            state = park_until(&ready, state, deadline).unwrap_or_else(|| {
+                panic!(
+                    "rendezvous {key:?} timed out (member {my_index} of {n}); \
+                     a peer likely panicked or collectives were issued out of order"
+                )
+            });
         }
     }
 
@@ -162,30 +256,11 @@ impl Fabric {
         my_index: usize,
         n: usize,
     ) -> (f64, Arc<Vec<Option<P>>>) {
-        let mut state = lock_fabric(&self.state);
-        loop {
-            if let Some(slot) = state.slots.get_mut(&key) {
-                if let Some((max_vt, result)) = slot.result.clone() {
-                    slot.taken += 1;
-                    if slot.taken == n {
-                        state.slots.remove(&key);
-                    }
-                    let arc = result
-                        .downcast::<Vec<Option<P>>>()
-                        .expect("payload type mismatch within one rendezvous");
-                    return (max_vt, arc);
-                }
-            }
-            let (guard, timed_out) =
-                self.cond.wait_timeout(state, self.timeout).unwrap_or_else(PoisonError::into_inner);
-            state = guard;
-            if timed_out.timed_out() {
-                panic!(
-                    "rendezvous {key:?} timed out (member {my_index} of {n}); \
-                     a peer likely panicked or collectives were issued out of order"
-                );
-            }
-        }
+        let (max_vt, result) = self.wait_erased(key, my_index, n);
+        let arc = result
+            .downcast::<Vec<Option<P>>>()
+            .expect("payload type mismatch within one rendezvous");
+        (max_vt, arc)
     }
 
     /// N-way rendezvous: [`Fabric::deposit`] followed by [`Fabric::wait`].
@@ -225,40 +300,14 @@ impl Fabric {
         F: FnOnce(Vec<P>) -> P,
     {
         let mut state = lock_fabric(&self.state);
-        let is_last = {
-            let slot = state.slots.entry(key).or_insert_with(|| Slot::new(n));
-            assert_eq!(slot.deposits.len(), n, "group size disagreement at rendezvous {key:?}");
-            assert!(
-                slot.deposits[my_index].is_none() && slot.result.is_none(),
-                "member {my_index} deposited twice at rendezvous {key:?}"
-            );
-            slot.deposits[my_index] = Some(Box::new(payload));
-            slot.entry_vts.push(entry_vt);
-            slot.arrived += 1;
-            slot.arrived == n
-        };
-        if is_last {
-            let (max_vt, parts) = {
-                let slot = state.slots.get_mut(&key).expect("slot present until taken by all");
-                let max_vt = slot.entry_vts.iter().copied().fold(f64::MIN, f64::max);
-                let parts: Vec<P> = slot
-                    .deposits
-                    .iter_mut()
-                    .map(|d| {
-                        *d.take()
-                            .expect("all deposits present")
-                            .downcast::<P>()
-                            .expect("payload type mismatch within one rendezvous")
-                    })
-                    .collect();
-                (max_vt, parts)
-            };
+        let slot = state.slots.entry(key).or_insert_with(|| Slot::new(n));
+        if slot.deposit(key, my_index, n, Box::new(payload), entry_vt) {
+            let (max_vt, parts) = slot.take_deposits::<P>();
             drop(state);
             let combined = combine(parts);
             state = lock_fabric(&self.state);
             let slot = state.slots.get_mut(&key).expect("slot present until taken by all");
-            slot.result = Some((max_vt, Arc::new(combined)));
-            self.cond.notify_all();
+            slot.publish(max_vt, Arc::new(combined));
         }
     }
 
@@ -272,30 +321,9 @@ impl Fabric {
         my_index: usize,
         n: usize,
     ) -> (f64, Arc<P>) {
-        let mut state = lock_fabric(&self.state);
-        loop {
-            if let Some(slot) = state.slots.get_mut(&key) {
-                if let Some((max_vt, result)) = slot.result.clone() {
-                    slot.taken += 1;
-                    if slot.taken == n {
-                        state.slots.remove(&key);
-                    }
-                    let arc = result
-                        .downcast::<P>()
-                        .expect("payload type mismatch within one rendezvous");
-                    return (max_vt, arc);
-                }
-            }
-            let (guard, timed_out) =
-                self.cond.wait_timeout(state, self.timeout).unwrap_or_else(PoisonError::into_inner);
-            state = guard;
-            if timed_out.timed_out() {
-                panic!(
-                    "rendezvous {key:?} timed out (member {my_index} of {n}); \
-                     a peer likely panicked or collectives were issued out of order"
-                );
-            }
-        }
+        let (max_vt, result) = self.wait_erased(key, my_index, n);
+        let arc = result.downcast::<P>().expect("payload type mismatch within one rendezvous");
+        (max_vt, arc)
     }
 
     /// Reducing N-way rendezvous: [`Fabric::deposit_reduce`] followed by
@@ -317,33 +345,33 @@ impl Fabric {
         self.wait_reduce(key, my_index, n)
     }
 
-    /// Deposits a point-to-point message; never blocks.
+    /// Deposits a point-to-point message and wakes that channel's receiver;
+    /// never blocks.
     pub fn send<P: Send + 'static>(&self, chan: ChanKey, payload: P, send_vt: f64) {
         let mut state = lock_fabric(&self.state);
-        state.channels.entry(chan).or_default().push_back((send_vt, Box::new(payload)));
-        self.cond.notify_all();
+        let (queue, ready) = state.channels.entry(chan).or_default();
+        queue.push_back((send_vt, Box::new(payload)));
+        ready.notify_all();
     }
 
     /// Receives the oldest message on a channel, blocking until one arrives.
     /// Returns `(sender's vt at send, payload)`.
     pub fn recv<P: Send + 'static>(&self, chan: ChanKey) -> (f64, P) {
+        let deadline = Instant::now() + self.timeout;
         let mut state = lock_fabric(&self.state);
         loop {
-            if let Some(queue) = state.channels.get_mut(&chan) {
-                if let Some((vt, payload)) = queue.pop_front() {
-                    if queue.is_empty() {
-                        state.channels.remove(&chan);
-                    }
-                    let payload = *payload.downcast::<P>().expect("p2p payload type mismatch");
-                    return (vt, payload);
+            let (queue, ready) = state.channels.entry(chan).or_default();
+            if let Some((vt, payload)) = queue.pop_front() {
+                if queue.is_empty() {
+                    state.channels.remove(&chan);
                 }
+                let payload = *payload.downcast::<P>().expect("p2p payload type mismatch");
+                return (vt, payload);
             }
-            let (guard, timed_out) =
-                self.cond.wait_timeout(state, self.timeout).unwrap_or_else(PoisonError::into_inner);
-            state = guard;
-            if timed_out.timed_out() {
-                panic!("recv on channel {chan:?} timed out; sender likely panicked");
-            }
+            let ready = Arc::clone(ready);
+            state = park_until(&ready, state, deadline).unwrap_or_else(|| {
+                panic!("recv on channel {chan:?} timed out; sender likely panicked")
+            });
         }
     }
 }
@@ -351,6 +379,7 @@ impl Fabric {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicBool, Ordering};
     use std::thread;
 
     #[test]
@@ -485,5 +514,86 @@ mod tests {
         fabric.send((0, 0, 1, 7), 42u64, 0.0);
         let (_, v) = recv.join().unwrap();
         assert_eq!(v, 42);
+        // The receiver created the channel entry to park on; it is gone
+        // once the queue drains.
+        assert!(lock_fabric(&fabric.state).channels.is_empty(), "channels must be collected");
+    }
+
+    #[test]
+    fn timeout_is_a_deadline_despite_foreign_traffic() {
+        let timeout = Duration::from_millis(300);
+        let fabric = Arc::new(Fabric::with_timeout(timeout));
+        let parked_done = AtomicBool::new(false);
+        let (parked, elapsed) = thread::scope(|s| {
+            // Another group completes a rendezvous every 50 ms for up to
+            // ten timeouts, or until the parked member gives up. Member 0
+            // decides each round whether to go on, so both stop together.
+            let traffic: Vec<_> = (0..2)
+                .map(|i| {
+                    let (f, done) = (Arc::clone(&fabric), &parked_done);
+                    s.spawn(move || {
+                        let start = Instant::now();
+                        for round in 0.. {
+                            let go = (i == 0).then(|| {
+                                !done.load(Ordering::SeqCst) && start.elapsed() < 10 * timeout
+                            });
+                            let (_, votes) = f.exchange((2, round), i, 2, go, 0.0);
+                            if votes[0] != Some(true) {
+                                break;
+                            }
+                            thread::sleep(Duration::from_millis(50));
+                        }
+                    })
+                })
+                .collect();
+            // Member 0 of a 2-member group whose partner never arrives.
+            let start = Instant::now();
+            let parked = s
+                .spawn(|| {
+                    std::panic::catch_unwind(|| fabric.exchange((1, 0), 0, 2, Some(0u64), 0.0))
+                })
+                .join()
+                .unwrap();
+            let elapsed = start.elapsed();
+            parked_done.store(true, Ordering::SeqCst);
+            for t in traffic {
+                t.join().unwrap();
+            }
+            (parked, elapsed)
+        });
+        let err = parked.expect_err("the unmatched member must time out");
+        let msg = err.downcast_ref::<String>().expect("formatted panic message");
+        assert!(is_timeout_panic(msg), "unexpected panic: {msg}");
+        assert!(elapsed >= timeout, "gave up early: {elapsed:?}");
+        assert!(elapsed < 2 * timeout, "deadline postponed by foreign traffic: {elapsed:?}");
+    }
+
+    #[test]
+    fn disjoint_groups_reduce_correctly_and_collect_their_slots() {
+        let fabric = Arc::new(Fabric::new());
+        let (groups, members, rounds) = (16u64, 4usize, 200u64);
+        thread::scope(|s| {
+            for g in 0..groups {
+                for i in 0..members {
+                    let f = Arc::clone(&fabric);
+                    s.spawn(move || {
+                        for round in 0..rounds {
+                            let mine = g * 1000 + round * 10 + i as u64;
+                            let (_, sum) =
+                                f.exchange_reduce((g, round), i, members, mine, 0.0, |parts| {
+                                    parts.into_iter().sum::<u64>()
+                                });
+                            // 4 * (g * 1000 + round * 10) + (0 + 1 + 2 + 3).
+                            assert_eq!(
+                                *sum,
+                                4 * (g * 1000 + round * 10) + 6,
+                                "group {g} round {round}"
+                            );
+                        }
+                    });
+                }
+            }
+        });
+        assert!(lock_fabric(&fabric.state).slots.is_empty(), "slots must be garbage-collected");
     }
 }

@@ -87,3 +87,21 @@ fn reduce_payload_shape_mismatch_panics() {
     });
     assert!(result.is_err(), "mismatched reduce shapes must panic");
 }
+
+#[test]
+fn the_panicking_rank_is_reported_not_the_rank_it_wedged() {
+    // Rank 0 blocks in a collective that rank 1 never joins; rank 0 times
+    // out, but the report must name rank 1's own panic.
+    let result = std::panic::catch_unwind(|| {
+        fail_fast(2).run(|ctx| {
+            if ctx.rank == 1 {
+                panic!("deliberate failure");
+            }
+            let g = ctx.world_group();
+            let _ = g.all_reduce(ctx, DenseTensor::from_matrix(Matrix::full(2, 2, 1.0)));
+        });
+    });
+    let err = result.expect_err("the run must fail");
+    let msg = err.downcast_ref::<String>().expect("formatted panic message");
+    assert!(msg.contains("rank 1 panicked: deliberate failure"), "wrong culprit: {msg}");
+}

@@ -69,6 +69,11 @@ fi
 echo "== collectives_sweep smoke (tiny sizes) =="
 cargo run -q --release --offline -p tesseract-bench --bin collectives_sweep -- \
     --sizes 64 --reps 2 --iters 4 --out target/BENCH_collectives.smoke.json
+grep -q '"rendezvous": \[' target/BENCH_collectives.smoke.json \
+    || { echo "ci.sh: collectives_sweep wrote no rendezvous section"; exit 1; }
+grep -q '"world": 64, "groups": 32, "group_size": 2, "host_us_per_round": [0-9]' \
+    target/BENCH_collectives.smoke.json \
+    || { echo "ci.sh: rendezvous section lacks the disjoint-pairs row"; exit 1; }
 
 # The bitwise-parity gate itself is crates/core/tests/overlap_parity.rs (runs
 # under `cargo test` above); the sweep additionally re-checks parity per size.
