@@ -169,7 +169,7 @@ impl<T: TensorLike + Payload> Module<T, MegatronWorld> for MegatronLinear<T> {
         let mut y = match self.split {
             // The freshly computed partial is consumed by the in-place
             // reduction; every rank receives the shared sum uncopied.
-            Split::Row => world.group.all_reduce_shared(ctx, y),
+            Split::Row => world.group.all_reduce(ctx, y),
             Split::Column => Arc::new(y),
         };
         if let Some(b) = &self.bias {
@@ -191,7 +191,7 @@ impl<T: TensorLike + Payload> Module<T, MegatronWorld> for MegatronLinear<T> {
         self.dw.add_assign(&dw, &mut ctx.meter);
         let dx = dy.matmul_nt(&self.w, &mut ctx.meter);
         match self.split {
-            Split::Column => world.group.all_reduce_shared(ctx, dx),
+            Split::Column => world.group.all_reduce(ctx, dx),
             Split::Row => Arc::new(dx),
         }
     }

@@ -4,6 +4,8 @@
 //! `tesseract_matmul`) so the equivalence `SUMMA ≡ Tesseract(d=1)` can be
 //! *tested* rather than assumed.
 
+use std::sync::Arc;
+
 use tesseract_comm::{Payload, RankCtx};
 use tesseract_core::{GridShape, TesseractGrid};
 use tesseract_tensor::TensorLike;
@@ -23,8 +25,8 @@ where
     let (i, j, _) = grid.coords;
     let mut c: Option<T> = None;
     for t in 0..q {
-        let a_t = grid.row.broadcast(ctx, t, (j == t).then(|| a_local.clone()));
-        let b_t = grid.col.broadcast(ctx, t, (i == t).then(|| b_local.clone()));
+        let a_t = grid.row.broadcast(ctx, t, (j == t).then(|| Arc::new(a_local.clone())));
+        let b_t = grid.col.broadcast(ctx, t, (i == t).then(|| Arc::new(b_local.clone())));
         let partial = a_t.matmul(&b_t, &mut ctx.meter);
         match c.as_mut() {
             None => c = Some(partial),
@@ -35,15 +37,20 @@ where
 }
 
 /// SUMMA backward rules (Eq. 3): `A' = C'·Bᵀ`.
-pub fn summa_matmul_nt<T>(grid: &TesseractGrid, ctx: &mut RankCtx, a_local: &T, b_local: &T) -> T
+pub fn summa_matmul_nt<T>(
+    grid: &TesseractGrid,
+    ctx: &mut RankCtx,
+    a_local: &T,
+    b_local: &T,
+) -> Arc<T>
 where
     T: TensorLike + Payload,
 {
     let q = grid.shape.q;
     let (i, j, _) = grid.coords;
-    let mut mine: Option<T> = None;
+    let mut mine: Option<Arc<T>> = None;
     for t in 0..q {
-        let b_t = grid.col.broadcast(ctx, t, (i == t).then(|| b_local.clone()));
+        let b_t = grid.col.broadcast(ctx, t, (i == t).then(|| Arc::new(b_local.clone())));
         let partial = a_local.matmul_nt(&b_t, &mut ctx.meter);
         let reduced = grid.row.reduce(ctx, t, partial);
         if j == t {
@@ -54,15 +61,20 @@ where
 }
 
 /// SUMMA backward rules (Eq. 3): `B' = Aᵀ·C'`.
-pub fn summa_matmul_tn<T>(grid: &TesseractGrid, ctx: &mut RankCtx, a_local: &T, b_local: &T) -> T
+pub fn summa_matmul_tn<T>(
+    grid: &TesseractGrid,
+    ctx: &mut RankCtx,
+    a_local: &T,
+    b_local: &T,
+) -> Arc<T>
 where
     T: TensorLike + Payload,
 {
     let q = grid.shape.q;
     let (i, j, _) = grid.coords;
-    let mut mine: Option<T> = None;
+    let mut mine: Option<Arc<T>> = None;
     for t in 0..q {
-        let a_t = grid.row.broadcast(ctx, t, (j == t).then(|| a_local.clone()));
+        let a_t = grid.row.broadcast(ctx, t, (j == t).then(|| Arc::new(a_local.clone())));
         let partial = a_t.matmul_tn(b_local, &mut ctx.meter);
         let reduced = grid.col.reduce(ctx, t, partial);
         if i == t {
@@ -76,7 +88,7 @@ where
 mod tests {
     use super::*;
     use tesseract_comm::Cluster;
-    use tesseract_core::mm::tesseract_matmul;
+    use tesseract_core::mm::{tesseract_matmul, Schedule};
     use tesseract_core::partition::{b_block, combine_b};
     use tesseract_tensor::{assert_slices_close, matmul, DenseTensor, Matrix, Xoshiro256StarStar};
 
@@ -118,8 +130,9 @@ mod tests {
             let tess = tesseract_matmul(
                 &grid,
                 ctx,
-                &std::sync::Arc::new(a_loc.clone()),
-                &std::sync::Arc::new(b_loc.clone()),
+                &Arc::new(a_loc.clone()),
+                &Arc::new(b_loc.clone()),
+                Schedule::Pipelined,
             );
             summa.matrix() == tess.matrix()
         });
@@ -137,7 +150,7 @@ mod tests {
             let (i, j, _) = grid.coords;
             let a_loc = DenseTensor::from_matrix(b_block(&a, shape, i, j));
             let b_loc = DenseTensor::from_matrix(b_block(&b, shape, i, j));
-            summa_matmul_nt(&grid, ctx, &a_loc, &b_loc).into_matrix()
+            summa_matmul_nt(&grid, ctx, &a_loc, &b_loc).matrix().clone()
         });
         let got = combine_b(&out.results, shape);
         assert_slices_close(got.data(), matmul::matmul_nt(&a, &b).data(), 1e-4);
@@ -154,7 +167,7 @@ mod tests {
             let (i, j, _) = grid.coords;
             let a_loc = DenseTensor::from_matrix(b_block(&a, shape, i, j));
             let b_loc = DenseTensor::from_matrix(b_block(&b, shape, i, j));
-            summa_matmul_tn(&grid, ctx, &a_loc, &b_loc).into_matrix()
+            summa_matmul_tn(&grid, ctx, &a_loc, &b_loc).matrix().clone()
         });
         let got = combine_b(&out.results, shape);
         assert_slices_close(got.data(), matmul::matmul_tn(&a, &b).data(), 1e-4);

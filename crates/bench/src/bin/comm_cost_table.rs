@@ -33,7 +33,7 @@ use tesseract_comm::{Cluster, CollectiveOp, CostParams, Link, Topology};
 use tesseract_core::analysis::{
     transmissions_25d, transmissions_cannon, transmissions_tesseract_cube,
 };
-use tesseract_core::{mm::tesseract_matmul, GridShape, TesseractGrid};
+use tesseract_core::{mm::tesseract_matmul, GridShape, Schedule, TesseractGrid};
 use tesseract_tensor::ShadowTensor;
 
 /// Payload sizes swept per (op, placement): 1 KiB … 64 MiB.
@@ -147,7 +147,7 @@ fn main() {
         let grid = TesseractGrid::new(ctx, GridShape::new(8, 1), 0);
         let a = std::sync::Arc::new(ShadowTensor::new(a_rows / 8, n / 8));
         let b = std::sync::Arc::new(ShadowTensor::new(n / 8, n / 8));
-        let _ = tesseract_matmul(&grid, ctx, &a, &b);
+        let _ = tesseract_matmul(&grid, ctx, &a, &b, Schedule::Pipelined);
     });
 
     // Tesseract on [4, 4, 4].
@@ -155,7 +155,7 @@ fn main() {
         let grid = TesseractGrid::new(ctx, GridShape::new(4, 4), 0);
         let a = std::sync::Arc::new(ShadowTensor::new(a_rows / 16, n / 4));
         let b = std::sync::Arc::new(ShadowTensor::new(n / 4, n / 4));
-        let _ = tesseract_matmul(&grid, ctx, &a, &b);
+        let _ = tesseract_matmul(&grid, ctx, &a, &b, Schedule::Pipelined);
     });
 
     println!("| algorithm | arrangement | wire bytes | collective calls | vs Tesseract |");

@@ -4,8 +4,8 @@
 //! One full training matmul step — forward `C = A·B` plus both backward
 //! rules `A' = C'·Bᵀ` and `B' = Aᵀ·C'` (with the depth all-reduce) — runs
 //! on the `[2, 2, 2]` cube with global `A [64, n]` against the `n×n`
-//! weight, once through the shipped `tesseract_matmul*` pipeline and once
-//! through the `*_serial` reference loops. Both runs use `DenseTensor`, so
+//! weight, once under the shipped `Schedule::Pipelined` and once
+//! under `Schedule::Serial`, the blocking reference. Both runs use `DenseTensor`, so
 //! the sweep doubles as a bitwise-parity check at every size.
 //!
 //! Columns: virtual step seconds per variant, the pipeline's speedup, the
@@ -20,8 +20,7 @@ use std::sync::Arc;
 use tesseract_comm::{Cluster, RunOutput};
 use tesseract_core::partition::{a_block, b_block};
 use tesseract_core::{
-    tesseract_matmul, tesseract_matmul_nt, tesseract_matmul_nt_serial, tesseract_matmul_serial,
-    tesseract_matmul_tn, tesseract_matmul_tn_serial, GridShape, TesseractGrid,
+    tesseract_matmul, tesseract_matmul_nt, tesseract_matmul_tn, GridShape, Schedule, TesseractGrid,
 };
 use tesseract_tensor::{DenseTensor, Matrix, Xoshiro256StarStar};
 
@@ -48,17 +47,10 @@ fn step_round(pipelined: bool, n: usize) -> RunOutput<(Matrix, Matrix)> {
         let (i, j, k) = grid.coords;
         let a_loc = Arc::new(DenseTensor::from_matrix(a_block(&a, shape, i, j, k)));
         let b_loc = Arc::new(DenseTensor::from_matrix(b_block(&b, shape, i, j)));
-        let (dx, dw) = if pipelined {
-            let dy = tesseract_matmul(&grid, ctx, &a_loc, &b_loc);
-            let dx = tesseract_matmul_nt(&grid, ctx, &dy, &b_loc);
-            let dw = tesseract_matmul_tn(&grid, ctx, &a_loc, &dy, true);
-            (dx, dw)
-        } else {
-            let dy = tesseract_matmul_serial(&grid, ctx, &a_loc, &b_loc);
-            let dx = tesseract_matmul_nt_serial(&grid, ctx, &dy, &b_loc);
-            let dw = tesseract_matmul_tn_serial(&grid, ctx, &a_loc, &dy, true);
-            (dx, dw)
-        };
+        let schedule = if pipelined { Schedule::Pipelined } else { Schedule::Serial };
+        let dy = tesseract_matmul(&grid, ctx, &a_loc, &b_loc, schedule);
+        let dx = tesseract_matmul_nt(&grid, ctx, &dy, &b_loc, schedule);
+        let dw = tesseract_matmul_tn(&grid, ctx, &a_loc, &dy, true, schedule);
         ctx.flush_compute();
         (dx.matrix().clone(), dw.matrix().clone())
     })

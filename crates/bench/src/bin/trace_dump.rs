@@ -26,8 +26,7 @@ use std::sync::Arc;
 use tesseract_comm::{RunConfig, RunOutput};
 use tesseract_core::partition::{a_block, b_block};
 use tesseract_core::{
-    tesseract_matmul, tesseract_matmul_nt, tesseract_matmul_nt_serial, tesseract_matmul_serial,
-    tesseract_matmul_tn, tesseract_matmul_tn_serial, GridShape, TesseractGrid,
+    tesseract_matmul, tesseract_matmul_nt, tesseract_matmul_tn, GridShape, Schedule, TesseractGrid,
 };
 use tesseract_tensor::trace::{chrome, critical, json};
 use tesseract_tensor::{DenseTensor, Matrix, TraceKind, Xoshiro256StarStar};
@@ -48,17 +47,10 @@ fn step_round(pipelined: bool, shape: GridShape, n: usize) -> RunOutput<(Matrix,
         let (i, j, k) = grid.coords;
         let a_loc = Arc::new(DenseTensor::from_matrix(a_block(&a, shape, i, j, k)));
         let b_loc = Arc::new(DenseTensor::from_matrix(b_block(&b, shape, i, j)));
-        let (dx, dw) = if pipelined {
-            let dy = tesseract_matmul(&grid, ctx, &a_loc, &b_loc);
-            let dx = tesseract_matmul_nt(&grid, ctx, &dy, &b_loc);
-            let dw = tesseract_matmul_tn(&grid, ctx, &a_loc, &dy, true);
-            (dx, dw)
-        } else {
-            let dy = tesseract_matmul_serial(&grid, ctx, &a_loc, &b_loc);
-            let dx = tesseract_matmul_nt_serial(&grid, ctx, &dy, &b_loc);
-            let dw = tesseract_matmul_tn_serial(&grid, ctx, &a_loc, &dy, true);
-            (dx, dw)
-        };
+        let schedule = if pipelined { Schedule::Pipelined } else { Schedule::Serial };
+        let dy = tesseract_matmul(&grid, ctx, &a_loc, &b_loc, schedule);
+        let dx = tesseract_matmul_nt(&grid, ctx, &dy, &b_loc, schedule);
+        let dw = tesseract_matmul_tn(&grid, ctx, &a_loc, &dy, true, schedule);
         ctx.flush_compute();
         (dx.matrix().clone(), dw.matrix().clone())
     })

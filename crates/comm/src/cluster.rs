@@ -189,8 +189,8 @@ mod tests {
         let cluster = Cluster::a100(3);
         let out = cluster.run(|ctx| {
             let world = ctx.world_group();
-            let payload =
-                (ctx.rank == 1).then(|| DenseTensor::from_matrix(Matrix::full(1, 4, 7.0)));
+            let payload = (ctx.rank == 1)
+                .then(|| Arc::new(DenseTensor::from_matrix(Matrix::full(1, 4, 7.0))));
             let got = world.broadcast(ctx, 1, payload);
             got.matrix().sum()
         });
@@ -298,36 +298,36 @@ mod tests {
     #[test]
     fn broadcast_charge_is_size_independent_of_receivers_and_synchronizes_clocks() {
         // Broadcast is charged in two fixed parts — the zero-byte rendezvous
-        // latency plus the size-dependent `recharge` once the root's payload
-        // size is known (the charging the calibrated tables were produced
-        // with). Every member must land on exactly that clock, bitwise, and
-        // payload *copies* must never move it: the shared path and the
-        // cloning wrapper charge identically.
+        // latency plus the size-dependent cost of the root's payload (the
+        // charging the calibrated tables were produced with). Every member
+        // must land on exactly that clock, bitwise, and payload *copies*
+        // must never move it: a counted copy of the result costs host time
+        // only.
         let cluster = Cluster::a100(4);
         let out = cluster.run(|ctx| {
             let world = ctx.world_group();
             let payload =
                 (ctx.rank == 0).then(|| DenseTensor::from_matrix(Matrix::full(4, 4, 1.0)));
-            let got = world.broadcast_shared(ctx, 0, payload.map(Arc::new));
+            let got = world.broadcast(ctx, 0, payload.map(Arc::new));
             let link = ctx.topology.worst_link(&(0..4).collect::<Vec<_>>());
             let expected = ctx.params.collective_time(CollectiveOp::Broadcast, 4, 0, link)
                 + ctx.params.collective_time(CollectiveOp::Broadcast, 4, got.wire_size(), link);
             ctx.flush_compute();
-            let after_shared = ctx.clock();
-            // The owned wrapper deep-copies the result on every member; the
-            // copy must cost host time only, never simulated time.
-            let payload = (ctx.rank == 0).then(|| (*got).clone());
-            let _ = world.broadcast(ctx, 0, payload);
+            let after_first = ctx.clock();
+            let payload = (ctx.rank == 0).then(|| Arc::clone(&got));
+            let again = world.broadcast(ctx, 0, payload);
+            let _owned = ctx.clone_counted(CollectiveOp::Broadcast, &*again);
             ctx.flush_compute();
-            (after_shared, ctx.clock() - after_shared, expected)
+            (after_first, ctx.clock() - after_first, expected)
         });
         let (first_clock, _, expected) = out.results[0];
         assert!(expected > 0.0);
         for &(clock, second_charge, _) in &out.results {
             assert_eq!(clock, first_clock, "member clocks diverged after broadcast");
-            assert_eq!(clock, expected, "broadcast charge must be rendezvous + recharge");
-            assert_eq!(second_charge, expected, "cloning wrapper must charge the same sim time");
+            assert_eq!(clock, expected, "broadcast charge must be latency + size cost");
+            assert_eq!(second_charge, expected, "a counted copy must not charge sim time");
         }
+        assert_eq!(out.comm.get(CollectiveOp::Broadcast).copies, 4);
     }
 
     #[test]

@@ -8,11 +8,11 @@
 
 use std::sync::Arc;
 
-use tesseract_tensor::{trace, Meter};
+use tesseract_tensor::{trace, Meter, TraceKind};
 
-use crate::cost::CostParams;
+use crate::cost::{CollectiveOp, CostParams};
 use crate::fabric::Fabric;
-use crate::group::CommGroup;
+use crate::group::{CommGroup, Payload};
 use crate::stats::StatsCollector;
 use crate::topology::Topology;
 
@@ -191,6 +191,27 @@ impl RankCtx {
         } else {
             self.clock
         }
+    }
+
+    /// Deep-copies a shared collective result into an owned value: the one
+    /// way to own one, so every payload copy stays counted. The copy is
+    /// recorded under `op` in the run-wide comm stats and in this rank's
+    /// meter (and as a trace event when tracing); it costs host time only
+    /// and never advances the virtual clock.
+    pub fn clone_counted<P: Payload>(&mut self, op: CollectiveOp, payload: &P) -> P {
+        let bytes = payload.wire_size() as u64;
+        self.stats.charge_copy(op, bytes);
+        self.meter.charge_payload_copy(bytes);
+        if trace::is_active() {
+            let vt = self.vt_now();
+            trace::record(
+                format!("copy:{}", op.name()),
+                vt,
+                vt,
+                TraceKind::Copy { op: op.name(), bytes },
+            );
+        }
+        payload.clone()
     }
 
     /// Lifetime blocked-wait nanos (folded totals plus the pending meter);

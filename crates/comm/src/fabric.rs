@@ -2,21 +2,18 @@
 //!
 //! Two primitives are provided:
 //!
-//! * [`Fabric::exchange`] — an n-way rendezvous: every member of a group
-//!   deposits an optional payload under a `(group id, sequence)` key; once
-//!   all `n` members have arrived, everyone receives the full deposit vector
-//!   plus the maximum entry virtual-time (collectives synchronize clocks to
-//!   the slowest participant). All collectives are built on this.
+//! * An n-way rendezvous, split-phase: [`Fabric::deposit`] publishes one
+//!   member's optional payload under a `(group id, sequence)` key without
+//!   blocking, and [`Fabric::wait`] blocks until all `n` members have
+//!   arrived, then hands everyone the full deposit vector plus the maximum
+//!   entry virtual-time (collectives synchronize clocks to the slowest
+//!   participant). [`Fabric::deposit_reduce`] / [`Fabric::wait_reduce`]
+//!   are the reducing twin: deposits are folded once and shared. Every
+//!   collective in [`crate::group`] is built on these, so a rank can
+//!   deposit a payload, go compute, and only pay the rendezvous wait when
+//!   it actually needs the result.
 //! * [`Fabric::send`] / [`Fabric::recv`] — ordered point-to-point channels
 //!   keyed by `(group id, src, dst, tag)`, used by pipeline parallelism.
-//!
-//! Both rendezvous primitives are **split-phase** internally:
-//! [`Fabric::deposit`] publishes one member's contribution without blocking
-//! and [`Fabric::wait`] blocks until the full group has arrived (the
-//! blocking `exchange` is literally `deposit` followed by `wait`). The
-//! split-phase collectives in [`crate::group`] use the two halves directly
-//! so a rank can deposit a payload, go compute, and only pay the rendezvous
-//! wait when it actually needs the result.
 //!
 //! One mutex guards all slots and channels, but every slot and every
 //! channel has its own condition variable: the member that completes a
@@ -189,7 +186,7 @@ impl Fabric {
         Self { state: Mutex::new(FabricState::default()), timeout }
     }
 
-    /// Non-blocking half of [`Fabric::exchange`]: publishes this member's
+    /// Non-blocking half of a rendezvous: publishes this member's
     /// contribution under `key` and returns immediately. The last arriver
     /// assembles the deposit vector and wakes the slot's waiters.
     ///
@@ -245,7 +242,7 @@ impl Fabric {
         }
     }
 
-    /// Blocking half of [`Fabric::exchange`]: parks until all `n` members
+    /// Blocking half of a rendezvous: parks until all `n` members
     /// have deposited under `key`, then returns `(max entry vt, deposits)`
     /// where `deposits[i]` is member `i`'s payload (if it deposited one).
     ///
@@ -263,20 +260,7 @@ impl Fabric {
         (max_vt, arc)
     }
 
-    /// N-way rendezvous: [`Fabric::deposit`] followed by [`Fabric::wait`].
-    pub fn exchange<P: Send + Sync + 'static>(
-        &self,
-        key: SlotKey,
-        my_index: usize,
-        n: usize,
-        payload: Option<P>,
-        entry_vt: f64,
-    ) -> (f64, Arc<Vec<Option<P>>>) {
-        self.deposit(key, my_index, n, payload, entry_vt);
-        self.wait(key, my_index, n)
-    }
-
-    /// Non-blocking half of [`Fabric::exchange_reduce`]: deposits this
+    /// Non-blocking half of a reducing rendezvous: deposits this
     /// member's payload *by value*; the last arriver moves all `n` deposits
     /// out of the slot and folds them with `combine` **outside the fabric
     /// lock** (a large reduction must not serialize unrelated traffic), then
@@ -311,7 +295,7 @@ impl Fabric {
         }
     }
 
-    /// Blocking half of [`Fabric::exchange_reduce`]: parks until the last
+    /// Blocking half of a reducing rendezvous: parks until the last
     /// arriver has published the combined value, then clones the shared
     /// `Arc` out. Panics if the rendezvous does not complete within the
     /// timeout.
@@ -324,25 +308,6 @@ impl Fabric {
         let (max_vt, result) = self.wait_erased(key, my_index, n);
         let arc = result.downcast::<P>().expect("payload type mismatch within one rendezvous");
         (max_vt, arc)
-    }
-
-    /// Reducing N-way rendezvous: [`Fabric::deposit_reduce`] followed by
-    /// [`Fabric::wait_reduce`].
-    pub fn exchange_reduce<P, F>(
-        &self,
-        key: SlotKey,
-        my_index: usize,
-        n: usize,
-        payload: P,
-        entry_vt: f64,
-        combine: F,
-    ) -> (f64, Arc<P>)
-    where
-        P: Send + Sync + 'static,
-        F: FnOnce(Vec<P>) -> P,
-    {
-        self.deposit_reduce(key, my_index, n, payload, entry_vt, combine);
-        self.wait_reduce(key, my_index, n)
     }
 
     /// Deposits a point-to-point message and wakes that channel's receiver;
@@ -381,6 +346,39 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::thread;
+
+    impl Fabric {
+        /// Blocking n-way rendezvous: `deposit` followed by `wait`.
+        fn exchange<P: Send + Sync + 'static>(
+            &self,
+            key: SlotKey,
+            my_index: usize,
+            n: usize,
+            payload: Option<P>,
+            entry_vt: f64,
+        ) -> (f64, Arc<Vec<Option<P>>>) {
+            self.deposit(key, my_index, n, payload, entry_vt);
+            self.wait(key, my_index, n)
+        }
+
+        /// Blocking reducing rendezvous: `deposit_reduce` then `wait_reduce`.
+        fn exchange_reduce<P, F>(
+            &self,
+            key: SlotKey,
+            my_index: usize,
+            n: usize,
+            payload: P,
+            entry_vt: f64,
+            combine: F,
+        ) -> (f64, Arc<P>)
+        where
+            P: Send + Sync + 'static,
+            F: FnOnce(Vec<P>) -> P,
+        {
+            self.deposit_reduce(key, my_index, n, payload, entry_vt, combine);
+            self.wait_reduce(key, my_index, n)
+        }
+    }
 
     #[test]
     fn exchange_gathers_all_payloads() {

@@ -14,45 +14,45 @@
 //! Reductions combine deposits in ascending member order, so results are
 //! bitwise deterministic run-to-run.
 //!
-//! # Zero-copy collectives
+//! # One form per collective
 //!
-//! Read-only payloads travel as `Arc<P>`: [`CommGroup::broadcast_shared`]
-//! and [`CommGroup::all_gather_shared`] hand every receiver an `Arc` clone
-//! of the root's deposit — the payload is materialized exactly once per
-//! rendezvous regardless of group size. [`CommGroup::reduce_shared`] and
-//! [`CommGroup::all_reduce_shared`] take deposits *by value* and fold them
-//! in place (ascending member order, once per rendezvous instead of once
-//! per member). The owned-value collectives remain as compatibility
-//! wrappers; every deep copy they make is recorded in
-//! [`crate::stats::OpStats::copies`] and `Meter::payload_copies`, so the
-//! cloning path is observable and copy regressions are testable.
-//!
-//! Ownership rule: an `Arc` returned from a shared collective may be read
-//! freely but must never be mutated through `Arc::get_mut` — other ranks
-//! (or the fabric slot, transiently) may hold clones. Use
-//! `Arc::make_mut` for copy-on-write or clone explicitly.
-//!
-//! # Split-phase collectives
-//!
-//! Every data-moving collective also exists as a `*_begin` variant that
-//! returns a [`PendingCollective`]: the payload is deposited into the
-//! fabric immediately (after flushing pending compute, so the deposit
-//! timestamp is exact), and the blocking wait plus all clock/cost/stat
-//! accounting is deferred to [`PendingCollective::complete`]. Compute
-//! issued between `begin` and `complete` overlaps the rendezvous; at
-//! `complete` the clock is only advanced to the collective's serial exit
-//! time (`max(entry clocks) + α–β cost`) if it is not already past it, so
-//! the virtual clock charges exactly the *non-overlapped remainder* of the
-//! wait. The hidden portion is recorded in `Meter::overlap_hidden_nanos`
-//! and [`crate::stats::OpStats::hidden_time`] instead of being charged.
-//!
-//! Data results are bitwise identical to the blocking calls: the same
-//! fabric slots, the same `Arc` sharing, the same ascending-member-order
-//! folds — only the timing accounting differs.
+//! Each rendezvous collective exists in one form, with a split-phase
+//! `*_begin` twin; the blocking call is literally
+//! `*_begin(..).complete(ctx)`. `*_begin` flushes pending compute (so the
+//! deposit timestamp is exact) and deposits the payload into the fabric;
+//! [`PendingCollective::complete`] blocks for the rest of the group and
+//! does all clock/cost/stat accounting in one routine. Compute run
+//! between the two overlaps the rendezvous: at `complete` the clock only
+//! advances to the collective's serial exit time (`max(entry clocks) +
+//! α–β cost`) if it is not already past it, so it charges exactly the
+//! *non-overlapped remainder* of the wait. The hidden portion is recorded
+//! in `Meter::overlap_hidden_nanos` and
+//! [`crate::stats::OpStats::hidden_time`] instead of being charged.
 //!
 //! Pending collectives on one group must be completed in begin order
-//! (FIFO, the NCCL stream discipline); completing out of order panics, as
-//! does dropping a handle without completing it.
+//! (FIFO, the NCCL stream discipline). Completing out of order panics, as
+//! does dropping a handle without completing it, and so does a blocking
+//! call made while an older begin on the same group is outstanding.
+//!
+//! # Zero-copy payloads
+//!
+//! Read-only payloads travel as `Arc<P>`: [`CommGroup::broadcast`] and
+//! [`CommGroup::all_gather`] hand every receiver an `Arc` clone of the
+//! root's deposit, so the payload is materialized exactly once per
+//! rendezvous regardless of group size. [`CommGroup::reduce`] and
+//! [`CommGroup::all_reduce`] take deposits *by value* and fold them in
+//! place (ascending member order, once per rendezvous) into one shared
+//! result. A caller that needs an owned value unwraps it through
+//! [`RankCtx::clone_counted`], which records the deep copy in
+//! [`crate::stats::OpStats::copies`] and `Meter::payload_copies`, so every
+//! copy stays observable and copy regressions stay testable. `gather`,
+//! `scatter` and `shift` return owned values and count their copies the
+//! same way.
+//!
+//! Ownership rule: an `Arc` returned from a collective may be read freely
+//! but must never be mutated through `Arc::get_mut` — other ranks (or the
+//! fabric slot, transiently) may hold clones. Use `Arc::make_mut` for
+//! copy-on-write or [`RankCtx::clone_counted`].
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
@@ -62,12 +62,12 @@ use tesseract_tensor::{trace, TensorLike, TraceKind};
 
 use crate::cost::CollectiveOp;
 use crate::ctx::RankCtx;
+use crate::fabric::Fabric;
 use crate::topology::GroupPlacement;
 
-/// Per-collective trace observer. Opened at the public entry of every
-/// collective (or at `complete` for split-phase ones, with the deposit
-/// timestamp as its begin), it accumulates what the charging internals
-/// (`sync`/`recharge`/`finish_charge`) already compute — rendezvous key,
+/// Per-collective trace observer. Opened at `complete` (with the deposit
+/// timestamp as its begin) or at the entry of a point-to-point call, it
+/// accumulates what the charging internals already compute — rendezvous key,
 /// slowest entry, α–β cost, stats contributions — plus *deltas* of the
 /// rank's lifetime wait/hidden counters, and emits one
 /// [`TraceKind::Comm`] span at [`CommScope::finish`]. When tracing is
@@ -77,7 +77,7 @@ use crate::topology::GroupPlacement;
 struct CommScope {
     active: bool,
     op: CollectiveOp,
-    /// Span start: entry clock (blocking) or deposit timestamp (split-phase).
+    /// Span start: deposit timestamp (collectives) or entry clock (p2p).
     begin: f64,
     key: (u64, u64),
     max_entry_vt: f64,
@@ -134,8 +134,7 @@ impl CommScope {
         self.max_entry_vt = max_vt;
     }
 
-    /// Notes α–β cost charged on behalf of this collective (a deferred-size
-    /// op charges twice: zero-byte latency plus the recharge).
+    /// Notes α–β cost charged on behalf of this collective.
     fn note_cost(&mut self, cost: f64) {
         if self.active {
             self.cost += cost;
@@ -320,11 +319,6 @@ impl CommGroup {
         }
     }
 
-    /// How this group's members sit relative to node boundaries.
-    pub fn placement(&self) -> GroupPlacement {
-        self.placement
-    }
-
     pub fn size(&self) -> usize {
         self.ranks.len()
     }
@@ -343,307 +337,58 @@ impl CommGroup {
         s
     }
 
-    /// Runs one rendezvous and applies clock/cost/stat accounting.
-    /// `bytes` is the per-rank payload size used by the cost formulas;
-    /// `None` means the size is only known after the rendezvous (broadcast,
-    /// scatter): the rendezvous is then charged as a zero-byte collective
-    /// (latency only, no stats), and [`CommGroup::recharge`] applies the
-    /// size-dependent cost and records stats once the size is known — the
-    /// exact charging the calibrated tables were produced with.
-    fn sync<P: Send + Sync + 'static>(
-        &self,
+    /// Flushes pending compute (so the deposit timestamp is exact), draws
+    /// the next sequence number and registers it as outstanding. Returns
+    /// `(seq, deposit timestamp)`.
+    fn open_rendezvous(&self, ctx: &mut RankCtx) -> (u64, f64) {
+        ctx.flush_compute();
+        let seq = self.next_seq();
+        self.outstanding.borrow_mut().push_back(seq);
+        (seq, ctx.clock())
+    }
+
+    /// First half of every non-reducing collective: deposits `payload`
+    /// now. At `complete`, `take` turns the deposit vector into this
+    /// member's result plus the per-rank payload size the cost formulas
+    /// need; `deferred_size` marks ops whose size only the root knows
+    /// (broadcast, scatter — see [`CommGroup::settle`]).
+    fn begin_exchange<'g, P, R>(
+        &'g self,
         ctx: &mut RankCtx,
         op: CollectiveOp,
-        bytes: Option<usize>,
         payload: Option<P>,
-        span: &mut CommScope,
-    ) -> Arc<Vec<Option<P>>> {
-        ctx.flush_compute();
-        let key = (self.id, self.next_seq());
-        let entry = ctx.clock();
-        let (max_vt, deposits) =
-            ctx.fabric().exchange(key, self.my_index, self.size(), payload, entry);
-        span.note_sync(key, entry, max_vt);
-        let cost = ctx.params.phased_collective_time(op, bytes.unwrap_or(0), self.placement).total;
-        span.note_cost(cost);
-        ctx.advance_comm(max_vt + cost);
-        if bytes.is_some() && self.my_index == 0 {
-            let wire = ctx.params.wire_bytes(op, self.size(), bytes.unwrap_or(0));
-            ctx.stats().record(op, wire, cost);
-            span.note_stats(wire, cost);
-        }
-        deposits
-    }
-
-    /// Runs one reducing rendezvous: deposits every member's payload by
-    /// value, folds them in ascending member order exactly once (on the
-    /// last-arriving rank, in place — no deposit is cloned), and hands
-    /// every member an `Arc` of the combined result.
-    fn sync_reduce<P: Payload>(
-        &self,
-        ctx: &mut RankCtx,
-        op: CollectiveOp,
-        payload: P,
-        span: &mut CommScope,
-    ) -> Arc<P> {
-        ctx.flush_compute();
-        let bytes = payload.wire_size();
-        let key = (self.id, self.next_seq());
-        let entry = ctx.clock();
-        let (max_vt, combined) = ctx.fabric().exchange_reduce(
-            key,
-            self.my_index,
-            self.size(),
-            payload,
-            entry,
-            combine_parts_in_order,
-        );
-        span.note_sync(key, entry, max_vt);
-        let cost = ctx.params.phased_collective_time(op, bytes, self.placement).total;
-        span.note_cost(cost);
-        ctx.advance_comm(max_vt + cost);
-        if self.my_index == 0 {
-            let wire = ctx.params.wire_bytes(op, self.size(), bytes);
-            ctx.stats().record(op, wire, cost);
-            span.note_stats(wire, cost);
-        }
-        combined
-    }
-
-    /// Clones an owned value out of a shared collective result, recording
-    /// the copy in both the run-wide comm stats and this rank's meter. The
-    /// owned compatibility wrappers route every materialization through
-    /// here so copy counts stay deterministic: broadcast/all-reduce make
-    /// one per member, all-gather `n` per member, reduce one at the root.
-    fn clone_counted<P: Payload>(&self, ctx: &mut RankCtx, op: CollectiveOp, payload: &P) -> P {
-        let bytes = payload.wire_size() as u64;
-        ctx.stats().charge_copy(op, bytes);
-        ctx.meter.charge_payload_copy(bytes);
-        if trace::is_active() {
-            let vt = ctx.vt_now();
-            trace::record(
-                format!("copy:{}", op.name()),
-                vt,
-                vt,
-                TraceKind::Copy { op: op.name(), bytes },
-            );
-        }
-        payload.clone()
-    }
-
-    /// Synchronizes all members without moving data.
-    pub fn barrier(&self, ctx: &mut RankCtx) {
-        // Barrier cost is bytes-independent, so it is charged in `sync`
-        // directly (no deferred recharge needed).
-        let mut span = CommScope::open(ctx, CollectiveOp::Barrier);
-        let _ = self.sync::<()>(ctx, CollectiveOp::Barrier, Some(0), Some(()), &mut span);
-        span.finish(ctx);
-    }
-
-    /// Zero-copy broadcast: the root (by member index) deposits an `Arc` of
-    /// its payload — without cloning its local block — and every member
-    /// (root included) receives an `Arc` clone of that single allocation.
-    /// The payload is materialized exactly once per rendezvous regardless
-    /// of the group size.
-    pub fn broadcast_shared<P: Payload>(
-        &self,
-        ctx: &mut RankCtx,
-        root: usize,
-        payload: Option<Arc<P>>,
-    ) -> Arc<P> {
-        assert_eq!(
-            payload.is_some(),
-            self.my_index == root,
-            "broadcast: exactly the root must supply the payload"
-        );
-        // The root's payload size drives the cost; non-roots don't know it
-        // yet, so the rendezvous charges the zero-byte latency and
-        // `recharge` adds the size-dependent cost identically on every
-        // member once the size is known. One trace span covers both halves.
-        let mut span = CommScope::open(ctx, CollectiveOp::Broadcast);
-        let deposits = self.sync(ctx, CollectiveOp::Broadcast, None, payload, &mut span);
-        let value = Arc::clone(deposits[root].as_ref().expect("root deposited"));
-        self.recharge(ctx, CollectiveOp::Broadcast, value.wire_size(), &mut span);
-        span.finish(ctx);
-        value
-    }
-
-    /// Root (by member index) provides the payload; everyone receives an
-    /// owned copy. Compatibility wrapper over [`CommGroup::broadcast_shared`]:
-    /// makes one counted deep copy per member.
-    pub fn broadcast<P: Payload>(&self, ctx: &mut RankCtx, root: usize, payload: Option<P>) -> P {
-        let shared = self.broadcast_shared(ctx, root, payload.map(Arc::new));
-        self.clone_counted(ctx, CollectiveOp::Broadcast, &*shared)
-    }
-
-    /// Adds the cost of an op whose byte size was only known after the
-    /// rendezvous. Keeps clocks identical across members because every
-    /// member executes the same re-charge.
-    fn recharge(&self, ctx: &mut RankCtx, op: CollectiveOp, bytes: usize, span: &mut CommScope) {
-        let cost = ctx.params.phased_collective_time(op, bytes, self.placement).total;
-        span.note_cost(cost);
-        ctx.advance_comm(ctx.clock() + cost);
-        if self.my_index == 0 {
-            let wire = ctx.params.wire_bytes(op, self.size(), bytes);
-            ctx.stats().record(op, wire, cost);
-            span.note_stats(wire, cost);
-        }
-    }
-
-    /// In-place sum-reduction to `root`: every member's payload is consumed
-    /// by value and folded without cloning; only the root receives the
-    /// combined value (shared, not copied).
-    pub fn reduce_shared<P: Payload>(
-        &self,
-        ctx: &mut RankCtx,
-        root: usize,
-        payload: P,
-    ) -> Option<Arc<P>> {
-        let mut span = CommScope::open(ctx, CollectiveOp::Reduce);
-        let combined = self.sync_reduce(ctx, CollectiveOp::Reduce, payload, &mut span);
-        span.finish(ctx);
-        (self.my_index == root).then_some(combined)
-    }
-
-    /// Sum-reduction to `root`, returning an owned value. Compatibility
-    /// wrapper over [`CommGroup::reduce_shared`]: one counted copy at root.
-    pub fn reduce<P: Payload>(&self, ctx: &mut RankCtx, root: usize, payload: P) -> Option<P> {
-        let mut span = CommScope::open(ctx, CollectiveOp::Reduce);
-        let combined = self.sync_reduce(ctx, CollectiveOp::Reduce, payload, &mut span);
-        span.finish(ctx);
-        (self.my_index == root).then(|| self.clone_counted(ctx, CollectiveOp::Reduce, &*combined))
-    }
-
-    /// In-place sum-reduction delivered to every member as one shared
-    /// allocation: payloads are consumed by value, folded exactly once (in
-    /// ascending member order), never cloned.
-    pub fn all_reduce_shared<P: Payload>(&self, ctx: &mut RankCtx, payload: P) -> Arc<P> {
-        let mut span = CommScope::open(ctx, CollectiveOp::AllReduce);
-        let combined = self.sync_reduce(ctx, CollectiveOp::AllReduce, payload, &mut span);
-        span.finish(ctx);
-        combined
-    }
-
-    /// Sum-reduction delivered to every member as an owned value.
-    /// Compatibility wrapper over [`CommGroup::all_reduce_shared`]: one
-    /// counted copy per member.
-    pub fn all_reduce<P: Payload>(&self, ctx: &mut RankCtx, payload: P) -> P {
-        let mut span = CommScope::open(ctx, CollectiveOp::AllReduce);
-        let combined = self.sync_reduce(ctx, CollectiveOp::AllReduce, payload, &mut span);
-        span.finish(ctx);
-        self.clone_counted(ctx, CollectiveOp::AllReduce, &*combined)
-    }
-
-    /// Zero-copy all-gather: every member receives `Arc` clones of every
-    /// member's deposit, in member order. Each payload is materialized once
-    /// cluster-wide instead of once per receiver (the owned wrapper's
-    /// O(n²) clones).
-    pub fn all_gather_shared<P: Payload>(&self, ctx: &mut RankCtx, payload: Arc<P>) -> Vec<Arc<P>> {
-        let bytes = payload.wire_size();
-        let mut span = CommScope::open(ctx, CollectiveOp::AllGather);
-        let deposits =
-            self.sync(ctx, CollectiveOp::AllGather, Some(bytes), Some(payload), &mut span);
-        span.finish(ctx);
-        deposits.iter().map(|d| Arc::clone(d.as_ref().expect("all deposited"))).collect()
-    }
-
-    /// Every member receives every member's payload, in member order.
-    /// Compatibility wrapper over [`CommGroup::all_gather_shared`]: `n`
-    /// counted copies per member.
-    pub fn all_gather<P: Payload>(&self, ctx: &mut RankCtx, payload: P) -> Vec<P> {
-        let shared = self.all_gather_shared(ctx, Arc::new(payload));
-        shared.iter().map(|d| self.clone_counted(ctx, CollectiveOp::AllGather, &**d)).collect()
-    }
-
-    /// Root receives every member's payload, in member order (`n` counted
-    /// copies, all at the root).
-    pub fn gather<P: Payload>(&self, ctx: &mut RankCtx, root: usize, payload: P) -> Option<Vec<P>> {
-        let bytes = payload.wire_size();
-        let mut span = CommScope::open(ctx, CollectiveOp::Gather);
-        let deposits =
-            self.sync(ctx, CollectiveOp::Gather, Some(bytes), Some(Arc::new(payload)), &mut span);
-        span.finish(ctx);
-        (self.my_index == root).then(|| {
-            deposits
-                .iter()
-                .map(|d| {
-                    self.clone_counted(
-                        ctx,
-                        CollectiveOp::Gather,
-                        &**d.as_ref().expect("all deposited"),
-                    )
-                })
-                .collect()
+        deferred_size: bool,
+        take: impl FnOnce(Arc<Vec<Option<P>>>) -> (R, usize) + 'g,
+    ) -> PendingCollective<'g, R>
+    where
+        P: Send + Sync + 'static,
+        R: 'g,
+    {
+        let (seq, deposit_vt) = self.open_rendezvous(ctx);
+        ctx.fabric().deposit((self.id, seq), self.my_index, self.size(), payload, deposit_vt);
+        PendingCollective::new(op, seq, move |ctx| {
+            self.settle(ctx, op, seq, deposit_vt, deferred_size, |fabric| {
+                let (max_vt, deposits) = fabric.wait((self.id, seq), self.my_index, self.size());
+                let (value, bytes) = take(deposits);
+                (max_vt, value, bytes)
+            })
         })
     }
 
-    /// Root provides one payload per member; each member receives its own
-    /// (one counted copy per member — the root's part vector is deposited
-    /// whole, without cloning).
-    pub fn scatter<P: Payload>(&self, ctx: &mut RankCtx, root: usize, parts: Option<Vec<P>>) -> P {
-        if let Some(ref p) = parts {
-            assert_eq!(p.len(), self.size(), "scatter: need one part per member");
-        }
-        assert_eq!(
-            parts.is_some(),
-            self.my_index == root,
-            "scatter: exactly the root must supply the parts"
-        );
-        let mut span = CommScope::open(ctx, CollectiveOp::Scatter);
-        let deposits = self.sync(ctx, CollectiveOp::Scatter, None, parts.map(Arc::new), &mut span);
-        let all = deposits[root].as_ref().expect("root deposited");
-        let mine = self.clone_counted(ctx, CollectiveOp::Scatter, &all[self.my_index]);
-        self.recharge(ctx, CollectiveOp::Scatter, mine.wire_size(), &mut span);
-        span.finish(ctx);
-        mine
-    }
-
-    /// Cyclic shift: every member sends its payload `offset` positions
-    /// forward (member order, wrapping) and receives from `offset` behind
-    /// (one counted copy per member). `offset` may be negative. This is
-    /// Cannon's primitive.
-    pub fn shift<P: Payload>(&self, ctx: &mut RankCtx, offset: isize, payload: P) -> P {
-        let n = self.size() as isize;
-        let bytes = payload.wire_size();
-        let mut span = CommScope::open(ctx, CollectiveOp::Shift);
-        let deposits =
-            self.sync(ctx, CollectiveOp::Shift, Some(bytes), Some(Arc::new(payload)), &mut span);
-        span.finish(ctx);
-        let src = (self.my_index as isize - offset).rem_euclid(n) as usize;
-        self.clone_counted(
-            ctx,
-            CollectiveOp::Shift,
-            &**deposits[src].as_ref().expect("all deposited"),
-        )
-    }
-
-    // ---- Split-phase collectives ------------------------------------
-
-    /// Non-blocking first half shared by all split-phase non-reducing
-    /// collectives: flushes pending compute (so the deposit timestamp is
-    /// exact), deposits the payload, and registers the sequence number as
-    /// outstanding. Returns `(seq, deposit timestamp)`.
-    fn begin_sync<P: Send + Sync + 'static>(
-        &self,
+    /// First half of every reducing collective: consumes and deposits the
+    /// payload now (its wire size is captured here, before the fold eats
+    /// it). The last arriver folds all deposits in ascending member order
+    /// exactly once, in place — no deposit is cloned; at `complete`,
+    /// `deliver` turns the shared combined value into this member's result.
+    fn begin_reduce<'g, P: Payload, R: 'g>(
+        &'g self,
         ctx: &mut RankCtx,
-        payload: Option<P>,
-    ) -> (u64, f64) {
-        ctx.flush_compute();
-        let seq = self.next_seq();
-        let deposit_vt = ctx.clock();
-        ctx.fabric().deposit((self.id, seq), self.my_index, self.size(), payload, deposit_vt);
-        self.outstanding.borrow_mut().push_back(seq);
-        (seq, deposit_vt)
-    }
-
-    /// Reducing counterpart of [`CommGroup::begin_sync`]. The payload's
-    /// wire size must be captured here — it is consumed by the fold.
-    /// Returns `(seq, deposit timestamp, wire bytes)`.
-    fn begin_reduce<P: Payload>(&self, ctx: &mut RankCtx, payload: P) -> (u64, f64, usize) {
-        ctx.flush_compute();
+        op: CollectiveOp,
+        payload: P,
+        deliver: impl FnOnce(Arc<P>) -> R + 'g,
+    ) -> PendingCollective<'g, R> {
         let bytes = payload.wire_size();
-        let seq = self.next_seq();
-        let deposit_vt = ctx.clock();
+        let (seq, deposit_vt) = self.open_rendezvous(ctx);
         ctx.fabric().deposit_reduce(
             (self.id, seq),
             self.my_index,
@@ -652,8 +397,13 @@ impl CommGroup {
             deposit_vt,
             combine_parts_in_order,
         );
-        self.outstanding.borrow_mut().push_back(seq);
-        (seq, deposit_vt, bytes)
+        PendingCollective::new(op, seq, move |ctx| {
+            self.settle(ctx, op, seq, deposit_vt, false, |fabric| {
+                let (max_vt, combined) =
+                    fabric.wait_reduce::<P>((self.id, seq), self.my_index, self.size());
+                (max_vt, deliver(combined), bytes)
+            })
+        })
     }
 
     /// Enforces the FIFO completion discipline: `seq` must be the oldest
@@ -673,23 +423,29 @@ impl CommGroup {
         q.pop_front();
     }
 
-    /// Clock/cost/stat accounting for the completion half. The serial exit
-    /// time is `max(entry clocks) + α–β cost` — identical to the blocking
-    /// path — but the clock only advances by the *non-overlapped remainder*:
-    /// whatever portion of the wait the caller's compute already covered is
-    /// recorded as hidden time instead of being charged. `deferred_size`
-    /// mirrors the blocking broadcast/scatter charging (zero-byte latency
-    /// plus a size-dependent recharge; only the recharge reaches the stats).
-    fn finish_charge(
+    /// The completion half of every rendezvous collective and its only
+    /// charging routine. Enforces the FIFO discipline, blocks in `wait`
+    /// for `(max entry clock, result, per-rank bytes)`, then charges the op
+    /// once. The serial exit time is `max(entry clocks) + α–β cost`, but
+    /// the clock only advances by the *non-overlapped remainder*: whatever
+    /// portion of the wait the caller's compute already covered since the
+    /// deposit is recorded as hidden time instead of being charged. A
+    /// `deferred_size` op also pays the zero-byte latency (only the
+    /// size-dependent part reaches the stats) — the exact charging the
+    /// calibrated tables were produced with.
+    fn settle<R>(
         &self,
         ctx: &mut RankCtx,
         op: CollectiveOp,
-        max_vt: f64,
-        bytes: usize,
+        seq: u64,
         deposit_vt: f64,
         deferred_size: bool,
-        span: &mut CommScope,
-    ) {
+        wait: impl FnOnce(&Fabric) -> (f64, R, usize),
+    ) -> R {
+        self.pop_outstanding(op, seq);
+        let mut span = CommScope::open_at(ctx, op, (self.id, seq), deposit_vt);
+        ctx.flush_compute();
+        let (max_vt, value, bytes) = wait(ctx.fabric());
         let cost_b = ctx.params.phased_collective_time(op, bytes, self.placement).total;
         let cost0 = if deferred_size {
             ctx.params.phased_collective_time(op, 0, self.placement).total
@@ -711,22 +467,31 @@ impl CommGroup {
             ctx.stats().record(op, wire, cost_b);
             span.note_stats(wire, cost_b);
         }
+        span.finish(ctx);
+        value
     }
 
-    fn pending<'g, R: 'g>(
-        &'g self,
-        op: CollectiveOp,
-        seq: u64,
-        finish: impl FnOnce(&mut RankCtx) -> R + 'g,
-    ) -> PendingCollective<'g, R> {
-        PendingCollective { op, seq, finish: Some(Box::new(finish)) }
+    /// Synchronizes all members without moving data.
+    pub fn barrier(&self, ctx: &mut RankCtx) {
+        self.begin_exchange(ctx, CollectiveOp::Barrier, Some(()), false, |_| ((), 0)).complete(ctx)
     }
 
-    /// Split-phase [`CommGroup::broadcast_shared`]: deposits the root's
-    /// `Arc` immediately; the returned handle blocks (and pays only the
-    /// non-overlapped wait) at `complete`. Data is bitwise identical to the
-    /// blocking call — every member receives a clone of the same allocation.
-    pub fn broadcast_shared_begin<'g, P: Payload>(
+    /// Zero-copy broadcast: the root (by member index) deposits an `Arc` of
+    /// its payload — without cloning its local block — and every member
+    /// (root included) receives an `Arc` clone of that single allocation.
+    pub fn broadcast<P: Payload>(
+        &self,
+        ctx: &mut RankCtx,
+        root: usize,
+        payload: Option<Arc<P>>,
+    ) -> Arc<P> {
+        self.broadcast_begin(ctx, root, payload).complete(ctx)
+    }
+
+    /// Split-phase [`CommGroup::broadcast`]: deposits the root's `Arc`
+    /// immediately; the handle blocks (and pays only the non-overlapped
+    /// wait) at `complete`.
+    pub fn broadcast_begin<'g, P: Payload>(
         &'g self,
         ctx: &mut RankCtx,
         root: usize,
@@ -737,163 +502,120 @@ impl CommGroup {
             self.my_index == root,
             "broadcast: exactly the root must supply the payload"
         );
-        let (seq, deposit_vt) = self.begin_sync(ctx, payload);
-        self.pending(CollectiveOp::Broadcast, seq, move |ctx| {
-            self.pop_outstanding(CollectiveOp::Broadcast, seq);
-            let mut span =
-                CommScope::open_at(ctx, CollectiveOp::Broadcast, (self.id, seq), deposit_vt);
-            ctx.flush_compute();
-            let (max_vt, deposits) =
-                ctx.fabric().wait::<Arc<P>>((self.id, seq), self.my_index, self.size());
+        self.begin_exchange(ctx, CollectiveOp::Broadcast, payload, true, move |deposits| {
             let value = Arc::clone(deposits[root].as_ref().expect("root deposited"));
-            self.finish_charge(
-                ctx,
-                CollectiveOp::Broadcast,
-                max_vt,
-                value.wire_size(),
-                deposit_vt,
-                true,
-                &mut span,
-            );
-            span.finish(ctx);
-            value
+            let bytes = value.wire_size();
+            (value, bytes)
         })
     }
 
-    /// Split-phase [`CommGroup::broadcast`] (owned result; one counted copy
-    /// per member, made at `complete`).
-    pub fn broadcast_begin<'g, P: Payload>(
-        &'g self,
-        ctx: &mut RankCtx,
-        root: usize,
-        payload: Option<P>,
-    ) -> PendingCollective<'g, P> {
-        self.broadcast_shared_begin(ctx, root, payload.map(Arc::new))
-            .map(move |ctx, shared| self.clone_counted(ctx, CollectiveOp::Broadcast, &*shared))
+    /// In-place sum-reduction to `root`: every member's payload is consumed
+    /// by value and folded without cloning; only the root receives the
+    /// combined value (shared, not copied).
+    pub fn reduce<P: Payload>(&self, ctx: &mut RankCtx, root: usize, payload: P) -> Option<Arc<P>> {
+        self.reduce_begin(ctx, root, payload).complete(ctx)
     }
 
-    /// Split-phase [`CommGroup::reduce_shared`]: the payload is consumed
-    /// and deposited immediately; `complete` hands the root the combined
-    /// value (ascending member-order fold, bitwise identical to blocking).
-    pub fn reduce_shared_begin<'g, P: Payload>(
-        &'g self,
-        ctx: &mut RankCtx,
-        root: usize,
-        payload: P,
-    ) -> PendingCollective<'g, Option<Arc<P>>> {
-        let (seq, deposit_vt, bytes) = self.begin_reduce(ctx, payload);
-        self.pending(CollectiveOp::Reduce, seq, move |ctx| {
-            self.pop_outstanding(CollectiveOp::Reduce, seq);
-            let mut span =
-                CommScope::open_at(ctx, CollectiveOp::Reduce, (self.id, seq), deposit_vt);
-            ctx.flush_compute();
-            let (max_vt, combined) =
-                ctx.fabric().wait_reduce::<P>((self.id, seq), self.my_index, self.size());
-            self.finish_charge(
-                ctx,
-                CollectiveOp::Reduce,
-                max_vt,
-                bytes,
-                deposit_vt,
-                false,
-                &mut span,
-            );
-            span.finish(ctx);
-            (self.my_index == root).then_some(combined)
-        })
-    }
-
-    /// Split-phase [`CommGroup::reduce`] (owned result at root; one counted
-    /// copy, made at `complete`).
+    /// Split-phase [`CommGroup::reduce`].
     pub fn reduce_begin<'g, P: Payload>(
         &'g self,
         ctx: &mut RankCtx,
         root: usize,
         payload: P,
-    ) -> PendingCollective<'g, Option<P>> {
-        self.reduce_shared_begin(ctx, root, payload).map(move |ctx, shared| {
-            shared.map(|s| self.clone_counted(ctx, CollectiveOp::Reduce, &*s))
-        })
+    ) -> PendingCollective<'g, Option<Arc<P>>> {
+        let is_root = self.my_index == root;
+        self.begin_reduce(ctx, CollectiveOp::Reduce, payload, move |c| is_root.then_some(c))
     }
 
-    /// Split-phase [`CommGroup::all_reduce_shared`].
-    pub fn all_reduce_shared_begin<'g, P: Payload>(
-        &'g self,
-        ctx: &mut RankCtx,
-        payload: P,
-    ) -> PendingCollective<'g, Arc<P>> {
-        let (seq, deposit_vt, bytes) = self.begin_reduce(ctx, payload);
-        self.pending(CollectiveOp::AllReduce, seq, move |ctx| {
-            self.pop_outstanding(CollectiveOp::AllReduce, seq);
-            let mut span =
-                CommScope::open_at(ctx, CollectiveOp::AllReduce, (self.id, seq), deposit_vt);
-            ctx.flush_compute();
-            let (max_vt, combined) =
-                ctx.fabric().wait_reduce::<P>((self.id, seq), self.my_index, self.size());
-            self.finish_charge(
-                ctx,
-                CollectiveOp::AllReduce,
-                max_vt,
-                bytes,
-                deposit_vt,
-                false,
-                &mut span,
-            );
-            span.finish(ctx);
-            combined
-        })
+    /// In-place sum-reduction delivered to every member as one shared
+    /// allocation: payloads are consumed by value, folded exactly once (in
+    /// ascending member order), never cloned.
+    pub fn all_reduce<P: Payload>(&self, ctx: &mut RankCtx, payload: P) -> Arc<P> {
+        self.all_reduce_begin(ctx, payload).complete(ctx)
     }
 
-    /// Split-phase [`CommGroup::all_reduce`] (owned result; one counted
-    /// copy per member, made at `complete`).
+    /// Split-phase [`CommGroup::all_reduce`].
     pub fn all_reduce_begin<'g, P: Payload>(
         &'g self,
         ctx: &mut RankCtx,
         payload: P,
-    ) -> PendingCollective<'g, P> {
-        self.all_reduce_shared_begin(ctx, payload)
-            .map(move |ctx, shared| self.clone_counted(ctx, CollectiveOp::AllReduce, &*shared))
+    ) -> PendingCollective<'g, Arc<P>> {
+        self.begin_reduce(ctx, CollectiveOp::AllReduce, payload, |c| c)
     }
 
-    /// Split-phase [`CommGroup::all_gather_shared`].
-    pub fn all_gather_shared_begin<'g, P: Payload>(
+    /// Zero-copy all-gather: every member receives `Arc` clones of every
+    /// member's deposit, in member order, so each payload is materialized
+    /// once cluster-wide instead of once per receiver.
+    pub fn all_gather<P: Payload>(&self, ctx: &mut RankCtx, payload: Arc<P>) -> Vec<Arc<P>> {
+        self.all_gather_begin(ctx, payload).complete(ctx)
+    }
+
+    /// Split-phase [`CommGroup::all_gather`].
+    pub fn all_gather_begin<'g, P: Payload>(
         &'g self,
         ctx: &mut RankCtx,
         payload: Arc<P>,
     ) -> PendingCollective<'g, Vec<Arc<P>>> {
         let bytes = payload.wire_size();
-        let (seq, deposit_vt) = self.begin_sync(ctx, Some(payload));
-        self.pending(CollectiveOp::AllGather, seq, move |ctx| {
-            self.pop_outstanding(CollectiveOp::AllGather, seq);
-            let mut span =
-                CommScope::open_at(ctx, CollectiveOp::AllGather, (self.id, seq), deposit_vt);
-            ctx.flush_compute();
-            let (max_vt, deposits) =
-                ctx.fabric().wait::<Arc<P>>((self.id, seq), self.my_index, self.size());
-            self.finish_charge(
-                ctx,
-                CollectiveOp::AllGather,
-                max_vt,
-                bytes,
-                deposit_vt,
-                false,
-                &mut span,
-            );
-            span.finish(ctx);
-            deposits.iter().map(|d| Arc::clone(d.as_ref().expect("all deposited"))).collect()
+        self.begin_exchange(ctx, CollectiveOp::AllGather, Some(payload), false, move |deposits| {
+            let all = deposits.iter().map(|d| Arc::clone(d.as_ref().expect("all deposited")));
+            (all.collect(), bytes)
         })
     }
 
-    /// Split-phase [`CommGroup::all_gather`] (owned results; `n` counted
-    /// copies per member, made at `complete`).
-    pub fn all_gather_begin<'g, P: Payload>(
-        &'g self,
-        ctx: &mut RankCtx,
-        payload: P,
-    ) -> PendingCollective<'g, Vec<P>> {
-        self.all_gather_shared_begin(ctx, Arc::new(payload)).map(move |ctx, shared| {
-            shared.iter().map(|d| self.clone_counted(ctx, CollectiveOp::AllGather, &**d)).collect()
+    /// Root receives every member's payload, in member order (`n` counted
+    /// copies, all at the root).
+    pub fn gather<P: Payload>(&self, ctx: &mut RankCtx, root: usize, payload: P) -> Option<Vec<P>> {
+        let bytes = payload.wire_size();
+        let deposits = self
+            .begin_exchange(ctx, CollectiveOp::Gather, Some(payload), false, move |d| (d, bytes))
+            .complete(ctx);
+        (self.my_index == root).then(|| {
+            deposits
+                .iter()
+                .map(|d| {
+                    ctx.clone_counted(CollectiveOp::Gather, d.as_ref().expect("all deposited"))
+                })
+                .collect()
         })
+    }
+
+    /// Root provides one payload per member; each member receives its own
+    /// (one counted copy per member — the root's part vector is deposited
+    /// whole, without cloning).
+    pub fn scatter<P: Payload>(&self, ctx: &mut RankCtx, root: usize, parts: Option<Vec<P>>) -> P {
+        if let Some(ref p) = parts {
+            assert_eq!(p.len(), self.size(), "scatter: need one part per member");
+        }
+        assert_eq!(
+            parts.is_some(),
+            self.my_index == root,
+            "scatter: exactly the root must supply the parts"
+        );
+        let me = self.my_index;
+        let deposits = self
+            .begin_exchange(ctx, CollectiveOp::Scatter, parts, true, move |d| {
+                let bytes = d[root].as_ref().expect("root deposited")[me].wire_size();
+                (d, bytes)
+            })
+            .complete(ctx);
+        ctx.clone_counted(
+            CollectiveOp::Scatter,
+            &deposits[root].as_ref().expect("root deposited")[me],
+        )
+    }
+
+    /// Cyclic shift: every member sends its payload `offset` positions
+    /// forward (member order, wrapping) and receives from `offset` behind
+    /// (one counted copy per member). `offset` may be negative. This is
+    /// Cannon's primitive.
+    pub fn shift<P: Payload>(&self, ctx: &mut RankCtx, offset: isize, payload: P) -> P {
+        let bytes = payload.wire_size();
+        let deposits = self
+            .begin_exchange(ctx, CollectiveOp::Shift, Some(payload), false, move |d| (d, bytes))
+            .complete(ctx);
+        let src = (self.my_index as isize - offset).rem_euclid(self.size() as isize) as usize;
+        ctx.clone_counted(CollectiveOp::Shift, deposits[src].as_ref().expect("all deposited"))
     }
 
     /// Point-to-point send to another member (by member index).
@@ -939,10 +661,10 @@ impl CommGroup {
     }
 }
 
-/// A split-phase collective whose payload is already deposited in the
-/// fabric. Obtained from the `*_begin` methods on [`CommGroup`]; the result
-/// (and all clock/cost accounting) is produced by
-/// [`PendingCollective::complete`].
+/// A collective whose payload is already deposited in the fabric.
+/// Obtained from the `*_begin` methods on [`CommGroup`] (the blocking
+/// methods complete one immediately); the result and all clock/cost
+/// accounting are produced by [`PendingCollective::complete`].
 ///
 /// Handles on one group must be completed in begin order; completing out of
 /// order panics. Dropping a handle without completing it also panics — a
@@ -955,9 +677,8 @@ pub struct PendingCollective<'g, R> {
 }
 
 impl<'g, R> PendingCollective<'g, R> {
-    /// The collective op this handle belongs to.
-    pub fn op(&self) -> CollectiveOp {
-        self.op
+    fn new(op: CollectiveOp, seq: u64, finish: impl FnOnce(&mut RankCtx) -> R + 'g) -> Self {
+        Self { op, seq, finish: Some(Box::new(finish)) }
     }
 
     /// Blocks until the rendezvous is full, charges the non-overlapped
@@ -965,23 +686,6 @@ impl<'g, R> PendingCollective<'g, R> {
     pub fn complete(mut self, ctx: &mut RankCtx) -> R {
         let finish = self.finish.take().expect("finish closure present until complete");
         finish(ctx)
-    }
-
-    /// Post-processes the eventual result (used by the owned-value wrappers
-    /// to defer their counted copies to `complete`).
-    fn map<S>(mut self, f: impl FnOnce(&mut RankCtx, R) -> S + 'g) -> PendingCollective<'g, S>
-    where
-        R: 'g,
-    {
-        let finish = self.finish.take().expect("finish closure present until complete");
-        PendingCollective {
-            op: self.op,
-            seq: self.seq,
-            finish: Some(Box::new(move |ctx| {
-                let r = finish(ctx);
-                f(ctx, r)
-            })),
-        }
     }
 }
 

@@ -1,6 +1,8 @@
 //! Failure-injection tests: the simulated cluster must convert misuse into
 //! diagnosable panics rather than silent corruption or hangs.
 
+use std::sync::Arc;
+
 use tesseract_comm::{Cluster, RunConfig};
 use tesseract_tensor::{DenseTensor, Matrix, TensorLike};
 
@@ -40,7 +42,7 @@ fn broadcast_without_root_payload_panics() {
     fail_fast(2).run(|ctx| {
         let g = ctx.world_group();
         // Nobody provides the payload.
-        let _: DenseTensor = g.broadcast(ctx, 0, None);
+        let _: Arc<DenseTensor> = g.broadcast(ctx, 0, None);
     });
 }
 

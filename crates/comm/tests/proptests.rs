@@ -5,8 +5,10 @@
 //     cargo test -p <crate> --features proptest-tests
 #![cfg(feature = "proptest-tests")]
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
-use tesseract_comm::{Cluster, CollectiveOp, CostParams, Link, Topology};
+use tesseract_comm::{Cluster, CollectiveOp, CostParams, Link, Payload, Topology};
 use tesseract_tensor::{DenseTensor, Matrix};
 
 proptest! {
@@ -130,44 +132,48 @@ proptest! {
     }
 
     #[test]
-    fn shared_collectives_match_owned_bitwise(
+    fn collectives_match_a_local_reference_bitwise(
         n in 2usize..5,
         rows in 1usize..6,
         cols in 1usize..6,
         seed in 0u64..1000,
     ) {
-        // The `Arc`-shared zero-copy path and the historical cloning path
-        // must agree bitwise for every collective, on arbitrary payload
-        // shapes (combine order is pinned to ascending member index).
+        // Every rank can rebuild every member's payload, so it can compute
+        // each collective's result locally — the root's block, the fold in
+        // ascending member order — and the `Arc`-shared results must match
+        // that reference bitwise on arbitrary payload shapes. An owned copy
+        // taken through `clone_counted` matches too, and is counted.
+        let payload = move |rank: usize| {
+            let mut rng = tesseract_tensor::Xoshiro256StarStar::seed_from_u64(
+                seed.wrapping_mul(31).wrapping_add(rank as u64),
+            );
+            DenseTensor::from_matrix(Matrix::random_uniform(rows, cols, -1.0, 1.0, &mut rng))
+        };
         let out = Cluster::a100(n).run(move |ctx| {
             let g = ctx.world_group();
-            let mine = {
-                let mut rng = tesseract_tensor::Xoshiro256StarStar::seed_from_u64(
-                    seed.wrapping_mul(31).wrapping_add(ctx.rank as u64),
-                );
-                DenseTensor::from_matrix(Matrix::random_uniform(rows, cols, -1.0, 1.0, &mut rng))
+            let mine = payload(ctx.rank);
+            let all: Vec<DenseTensor> = (0..n).map(payload).collect();
+            let mut sum = all[0].clone();
+            for p in &all[1..] {
+                sum.combine(p);
+            }
+            let b = g.broadcast(ctx, 0, (ctx.rank == 0).then(|| Arc::new(mine.clone())));
+            let b_ok = b.matrix() == all[0].matrix();
+            let owned = ctx.clone_counted(CollectiveOp::Broadcast, &*b);
+            let owned_ok = owned.matrix() == b.matrix();
+            let ar = g.all_reduce(ctx, mine.clone());
+            let ar_ok = ar.matrix() == sum.matrix();
+            let r_ok = match g.reduce(ctx, 0, mine.clone()) {
+                Some(r) => ctx.rank == 0 && r.matrix() == sum.matrix(),
+                None => ctx.rank != 0,
             };
-            let owned_b = g.broadcast(ctx, 0, (ctx.rank == 0).then(|| mine.clone()));
-            let shared_b =
-                g.broadcast_shared(ctx, 0, (ctx.rank == 0).then(|| std::sync::Arc::new(mine.clone())));
-            let b_ok = owned_b.matrix() == shared_b.matrix();
-            let owned_ar = g.all_reduce(ctx, mine.clone());
-            let shared_ar = g.all_reduce_shared(ctx, mine.clone());
-            let ar_ok = owned_ar.matrix() == shared_ar.matrix();
-            let owned_r = g.reduce(ctx, 0, mine.clone());
-            let shared_r = g.reduce_shared(ctx, 0, mine.clone());
-            let r_ok = match (&owned_r, &shared_r) {
-                (Some(a), Some(b)) => a.matrix() == b.matrix(),
-                (None, None) => true,
-                _ => false,
-            };
-            let owned_g = g.all_gather(ctx, mine.clone());
-            let shared_g = g.all_gather_shared(ctx, std::sync::Arc::new(mine));
-            let g_ok = owned_g.len() == shared_g.len()
-                && owned_g.iter().zip(shared_g.iter()).all(|(a, b)| a.matrix() == b.matrix());
-            b_ok && ar_ok && r_ok && g_ok
+            let ag = g.all_gather(ctx, Arc::new(mine));
+            let g_ok = ag.len() == n && ag.iter().zip(&all).all(|(a, b)| a.matrix() == b.matrix());
+            b_ok && owned_ok && ar_ok && r_ok && g_ok
         });
         prop_assert!(out.results.iter().all(|&ok| ok));
+        prop_assert_eq!(out.comm.get(CollectiveOp::Broadcast).copies, n as u64);
+        prop_assert_eq!(out.comm.total_copies(), n as u64);
     }
 
     #[test]
@@ -188,9 +194,9 @@ proptest! {
                 );
                 DenseTensor::from_matrix(Matrix::random_uniform(rows, cols, -1.0, 1.0, &mut rng))
             };
-            let blocking_b = g.broadcast(ctx, 0, (ctx.rank == 0).then(|| mine.clone()));
-            let split_b =
-                g.broadcast_begin(ctx, 0, (ctx.rank == 0).then(|| mine.clone())).complete(ctx);
+            let root = (ctx.rank == 0).then(|| Arc::new(mine.clone()));
+            let blocking_b = g.broadcast(ctx, 0, root.clone());
+            let split_b = g.broadcast_begin(ctx, 0, root).complete(ctx);
             let b_ok = blocking_b.matrix() == split_b.matrix();
             let blocking_ar = g.all_reduce(ctx, mine.clone());
             let split_ar = g.all_reduce_begin(ctx, mine.clone()).complete(ctx);
@@ -202,7 +208,8 @@ proptest! {
                 (None, None) => true,
                 _ => false,
             };
-            let blocking_g = g.all_gather(ctx, mine.clone());
+            let mine = Arc::new(mine);
+            let blocking_g = g.all_gather(ctx, Arc::clone(&mine));
             let split_g = g.all_gather_begin(ctx, mine).complete(ctx);
             let g_ok = blocking_g.len() == split_g.len()
                 && blocking_g.iter().zip(split_g.iter()).all(|(a, b)| a.matrix() == b.matrix());
@@ -216,7 +223,7 @@ proptest! {
         let out = Cluster::a100(n).run(move |ctx| {
             let g = ctx.world_group();
             let t = DenseTensor::from_matrix(Matrix::full(1, 1, ctx.rank as f32 * 3.0));
-            let all = g.all_gather(ctx, t);
+            let all = g.all_gather(ctx, Arc::new(t));
             all.iter().enumerate().all(|(i, v)| v.matrix()[(0, 0)] == i as f32 * 3.0)
         });
         prop_assert!(out.results.iter().all(|&ok| ok));

@@ -21,19 +21,19 @@ fn rank_payload(rank: usize) -> DenseTensor {
 }
 
 /// `begin` immediately followed by `complete` must be indistinguishable
-/// from the blocking collective: same data bit for bit, same virtual
-/// clocks, same wire/call stats, and zero hidden time (there was no
-/// compute to hide the wait under).
+/// from the blocking collective (which is exactly that): same data bit for
+/// bit, same virtual clocks, same wire/call stats, and zero hidden time
+/// (there was no compute to hide the wait under).
 #[test]
 fn immediate_begin_complete_matches_blocking_exactly() {
     let n = 4;
     let blocking = Cluster::a100(n).run(|ctx| {
         let g = ctx.world_group();
         let mine = rank_payload(ctx.rank);
-        let b = g.broadcast_shared(ctx, 0, (ctx.rank == 0).then(|| Arc::new(mine.clone())));
-        let r = g.reduce_shared(ctx, 1, mine.clone());
-        let ar = g.all_reduce_shared(ctx, mine.clone());
-        let ag = g.all_gather_shared(ctx, Arc::new(mine));
+        let b = g.broadcast(ctx, 0, (ctx.rank == 0).then(|| Arc::new(mine.clone())));
+        let r = g.reduce(ctx, 1, mine.clone());
+        let ar = g.all_reduce(ctx, mine.clone());
+        let ag = g.all_gather(ctx, Arc::new(mine));
         ctx.flush_compute();
         (
             b.matrix().clone(),
@@ -46,11 +46,11 @@ fn immediate_begin_complete_matches_blocking_exactly() {
         let g = ctx.world_group();
         let mine = rank_payload(ctx.rank);
         let b = g
-            .broadcast_shared_begin(ctx, 0, (ctx.rank == 0).then(|| Arc::new(mine.clone())))
+            .broadcast_begin(ctx, 0, (ctx.rank == 0).then(|| Arc::new(mine.clone())))
             .complete(ctx);
-        let r = g.reduce_shared_begin(ctx, 1, mine.clone()).complete(ctx);
-        let ar = g.all_reduce_shared_begin(ctx, mine.clone()).complete(ctx);
-        let ag = g.all_gather_shared_begin(ctx, Arc::new(mine)).complete(ctx);
+        let r = g.reduce_begin(ctx, 1, mine.clone()).complete(ctx);
+        let ar = g.all_reduce_begin(ctx, mine.clone()).complete(ctx);
+        let ag = g.all_gather_begin(ctx, Arc::new(mine)).complete(ctx);
         ctx.flush_compute();
         (
             b.matrix().clone(),
@@ -70,44 +70,6 @@ fn immediate_begin_complete_matches_blocking_exactly() {
     }
 }
 
-/// The owned-value `*_begin` wrappers must match the owned blocking calls,
-/// including the counted-copy accounting their deferred clones perform.
-#[test]
-fn owned_begin_variants_match_blocking_with_identical_copy_counts() {
-    let n = 3;
-    let blocking = Cluster::a100(n).run(|ctx| {
-        let g = ctx.world_group();
-        let mine = rank_payload(ctx.rank);
-        let b = g.broadcast(ctx, 0, (ctx.rank == 0).then(|| mine.clone()));
-        let r = g.reduce(ctx, 1, mine.clone());
-        let ar = g.all_reduce(ctx, mine.clone());
-        let ag = g.all_gather(ctx, mine);
-        (
-            b.matrix().clone(),
-            r.map(|x| x.matrix().clone()),
-            ar.matrix().clone(),
-            ag.iter().map(|x| x.matrix().clone()).collect::<Vec<_>>(),
-        )
-    });
-    let split = Cluster::a100(n).run(|ctx| {
-        let g = ctx.world_group();
-        let mine = rank_payload(ctx.rank);
-        let b = g.broadcast_begin(ctx, 0, (ctx.rank == 0).then(|| mine.clone())).complete(ctx);
-        let r = g.reduce_begin(ctx, 1, mine.clone()).complete(ctx);
-        let ar = g.all_reduce_begin(ctx, mine.clone()).complete(ctx);
-        let ag = g.all_gather_begin(ctx, mine).complete(ctx);
-        (
-            b.matrix().clone(),
-            r.map(|x| x.matrix().clone()),
-            ar.matrix().clone(),
-            ag.iter().map(|x| x.matrix().clone()).collect::<Vec<_>>(),
-        )
-    });
-    assert_eq!(blocking.results, split.results);
-    assert_eq!(blocking.comm.total_copies(), split.comm.total_copies());
-    assert_eq!(blocking.comm.total_copy_bytes(), split.comm.total_copy_bytes());
-}
-
 /// Compute issued between `begin` and `complete` hides the rendezvous
 /// wait: the clock charges only the non-overlapped remainder, the hidden
 /// portion lands in the meter/stats, and the makespan strictly improves —
@@ -118,7 +80,7 @@ fn overlap_charges_only_the_non_overlapped_remainder() {
     let serial = Cluster::a100(n).run(|ctx| {
         let g = ctx.world_group();
         let payload = Arc::new(DenseTensor::from_matrix(Matrix::full(64, 64, 1.5)));
-        let b = g.broadcast_shared(ctx, 0, (ctx.rank == 0).then(|| Arc::clone(&payload)));
+        let b = g.broadcast(ctx, 0, (ctx.rank == 0).then(|| Arc::clone(&payload)));
         let t = DenseTensor::from_matrix(Matrix::full(24, 24, 0.5));
         let _ = t.matmul(&t, &mut ctx.meter);
         ctx.flush_compute();
@@ -127,8 +89,7 @@ fn overlap_charges_only_the_non_overlapped_remainder() {
     let overlapped = Cluster::a100(n).run(|ctx| {
         let g = ctx.world_group();
         let payload = Arc::new(DenseTensor::from_matrix(Matrix::full(64, 64, 1.5)));
-        let pending =
-            g.broadcast_shared_begin(ctx, 0, (ctx.rank == 0).then(|| Arc::clone(&payload)));
+        let pending = g.broadcast_begin(ctx, 0, (ctx.rank == 0).then(|| Arc::clone(&payload)));
         let t = DenseTensor::from_matrix(Matrix::full(24, 24, 0.5));
         let _ = t.matmul(&t, &mut ctx.meter);
         let b = pending.complete(ctx);
@@ -165,12 +126,12 @@ fn overlap_charges_only_the_non_overlapped_remainder() {
 fn out_of_order_complete_panics() {
     fail_fast(2).run(|ctx| {
         let g = ctx.world_group();
-        let first = g.broadcast_shared_begin(
+        let first = g.broadcast_begin(
             ctx,
             0,
             (ctx.rank == 0).then(|| Arc::new(DenseTensor::from_matrix(Matrix::full(2, 2, 1.0)))),
         );
-        let second = g.broadcast_shared_begin(
+        let second = g.broadcast_begin(
             ctx,
             0,
             (ctx.rank == 0).then(|| Arc::new(DenseTensor::from_matrix(Matrix::full(2, 2, 2.0)))),
@@ -187,11 +148,30 @@ fn out_of_order_complete_panics() {
 fn dropping_pending_without_complete_panics() {
     fail_fast(1).run(|ctx| {
         let g = ctx.world_group();
-        let pending = g.broadcast_shared_begin(
+        let pending = g.broadcast_begin(
             ctx,
             0,
             Some(Arc::new(DenseTensor::from_matrix(Matrix::full(2, 2, 1.0)))),
         );
         drop(pending);
+    });
+}
+
+/// Blocking calls are `begin` + `complete`, so the FIFO discipline covers
+/// them too: a blocking collective called while an older begin on the same
+/// group is still outstanding completes out of order and must panic.
+#[test]
+#[should_panic(expected = "split-phase collective completed out of order: \
+                           completing all_reduce seq 1 but the oldest outstanding begin is seq 0")]
+fn blocking_call_behind_an_outstanding_begin_panics() {
+    fail_fast(2).run(|ctx| {
+        let g = ctx.world_group();
+        let pending = g.broadcast_begin(
+            ctx,
+            0,
+            (ctx.rank == 0).then(|| Arc::new(DenseTensor::from_matrix(Matrix::full(2, 2, 1.0)))),
+        );
+        let _ = g.all_reduce(ctx, DenseTensor::from_matrix(Matrix::full(2, 2, 2.0)));
+        let _ = pending.complete(ctx);
     });
 }

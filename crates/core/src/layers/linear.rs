@@ -22,7 +22,7 @@ use tesseract_comm::{Payload, RankCtx};
 use tesseract_tensor::TensorLike;
 
 use crate::grid::TesseractGrid;
-use crate::mm::{tesseract_matmul, tesseract_matmul_nt, tesseract_matmul_tn};
+use crate::mm::{tesseract_matmul, tesseract_matmul_nt, tesseract_matmul_tn, Schedule};
 use crate::module::{Module, Tape};
 // Historical home of `ParamRef`; re-exported so old import paths keep working.
 pub use crate::module::ParamRef;
@@ -118,9 +118,9 @@ impl<T: TensorLike + Payload> TesseractLinear<T> {
     /// bitwise-identical output — but `&self` and **no tape push**, so
     /// serving never accumulates activations it will not backpropagate.
     pub fn forward_infer(&self, grid: &TesseractGrid, ctx: &mut RankCtx, x: &Arc<T>) -> Arc<T> {
-        let mut y = tesseract_matmul(grid, ctx, x, &self.w);
+        let mut y = tesseract_matmul(grid, ctx, x, &self.w, Schedule::Pipelined);
         if self.with_bias {
-            let b = grid.col.broadcast_shared(ctx, 0, self.bias.as_ref().map(Arc::clone));
+            let b = grid.col.broadcast(ctx, 0, self.bias.as_ref().map(Arc::clone));
             y = y.add_rowvec(&b, &mut ctx.meter);
         }
         Arc::new(y)
@@ -159,13 +159,9 @@ impl<T: TensorLike + Payload> Module<T> for TesseractLinear<T> {
 
     /// Forward: `Y = X·W (+ bias broadcast down the column)`. Tapes `X`.
     fn forward(&mut self, grid: &TesseractGrid, ctx: &mut RankCtx, x: &Arc<T>) -> Arc<T> {
-        let mut y = tesseract_matmul(grid, ctx, x, &self.w);
-        if self.with_bias {
-            let b = grid.col.broadcast_shared(ctx, 0, self.bias.as_ref().map(Arc::clone));
-            y = y.add_rowvec(&b, &mut ctx.meter);
-        }
+        let y = self.forward_infer(grid, ctx, x);
         self.tape.push_tracked(ctx, x.byte_size() as u64, Arc::clone(x));
-        Arc::new(y)
+        y
     }
 
     /// Backward: returns `dX`; accumulates `dW` (and `dbias` on row 0).
@@ -173,18 +169,18 @@ impl<T: TensorLike + Payload> Module<T> for TesseractLinear<T> {
         let x = self.tape.pop_tracked(ctx, "TesseractLinear");
         if self.with_bias {
             let db_local = dy.col_sums(&mut ctx.meter);
-            let db = grid.col.reduce_shared(ctx, 0, db_local);
+            let db = grid.col.reduce(ctx, 0, db_local);
             if grid.i() == 0 {
                 let mut db = db.expect("row-0 rank receives bias gradient");
                 if grid.shape.d > 1 {
-                    db = Arc::clone(&*grid.depth.all_reduce_shared(ctx, db));
+                    db = Arc::clone(&*grid.depth.all_reduce(ctx, db));
                 }
                 self.dbias.as_mut().expect("row-0 rank holds bias").add_assign(&db, &mut ctx.meter);
             }
         }
-        let dw = tesseract_matmul_tn(grid, ctx, &x, &**dy, true);
+        let dw = tesseract_matmul_tn(grid, ctx, &x, &**dy, true, Schedule::Pipelined);
         self.dw.add_assign(&dw, &mut ctx.meter);
-        tesseract_matmul_nt(grid, ctx, &**dy, &self.w)
+        tesseract_matmul_nt(grid, ctx, &**dy, &self.w, Schedule::Pipelined)
     }
 
     /// Visits (weight, grad) pairs for the optimizer, in a deterministic

@@ -10,43 +10,190 @@
 //! layers run `q×q` SUMMA multiplications concurrently over disjoint row
 //! bands of `A`/`C`, sharing only the replicated `B`.
 //!
-//! # Double-buffered pipeline
+//! One private SUMMA loop drives all three rules. Panels travel zero-copy:
+//! the step-`t` root deposits `Arc::clone` of its local block and every
+//! member multiplies against the shared allocation, while partial sums are
+//! consumed by in-place reductions — a whole product makes no payload
+//! copy.
 //!
-//! The main entry points run the SUMMA loop **double-buffered** on the
-//! split-phase collectives: the step-`t+1` panel broadcasts are begun
+//! # Schedules
+//!
+//! [`Schedule::Pipelined`] (what the layers use) double-buffers the loop on
+//! the split-phase collectives: the step-`t+1` panel broadcasts are begun
 //! before the step-`t` partial product is computed, so the rendezvous wait
-//! overlaps the GEMM; likewise the partial-sum reductions of the backward
-//! rules are begun as soon as a partial is computed and completed one step
-//! later, and `tesseract_matmul_tn`'s depth all-reduce is begun the moment
-//! the local contribution is final. Results are **bitwise identical** to
-//! the serial loop — the panels travel as the same shared `Arc`s and the
-//! reductions fold in the same ascending member order; only the virtual
-//! clock improves (the hidden wait is reported via
-//! `Meter::overlap_hidden_nanos`). The `*_serial` twins run the original
-//! blocking loops and exist as the parity/ablation baseline.
+//! overlaps the GEMM; each partial-sum reduction is begun as soon as its
+//! partial is computed and completed one step later; and the depth
+//! all-reduce of `Aᵀ·B` is begun the moment the local contribution is
+//! final. [`Schedule::Serial`] completes every collective before the next
+//! one begins — the blocking reference kept as the parity baseline and
+//! the overlap ablation. Results are **bitwise identical** across
+//! schedules (same shared `Arc`s, same ascending member-order folds); only
+//! the virtual clock differs, with the hidden wait reported via
+//! `Meter::overlap_hidden_nanos`.
 
 use std::sync::Arc;
 
-use tesseract_comm::{Payload, PendingCollective, RankCtx};
+use tesseract_comm::{CommGroup, Payload, PendingCollective, RankCtx};
 use tesseract_tensor::TensorLike;
 
 use crate::grid::TesseractGrid;
 
-/// Begins the step-`t` row/column panel broadcasts of Algorithm 3 (the
-/// shared prefetch half of the double-buffered loop).
-fn begin_panels<'g, T>(
-    grid: &'g TesseractGrid,
+/// How a SUMMA loop orders its collectives around the GEMMs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Schedule {
+    /// Every collective completes before the next begins: per step the row
+    /// broadcast, then the column broadcast, the GEMM, then the reduction;
+    /// the depth all-reduce after the loop.
+    Serial,
+    /// Double-buffered: step `t+1`'s panels are begun before step `t`'s
+    /// GEMM, each reduction completes under the next step's GEMM, and the
+    /// depth all-reduce begins at step `t = i`.
+    Pipelined,
+}
+
+/// One of the three products of Eq. 3 with this rank's operand blocks.
+enum Rule<'a, T> {
+    /// `C = A·B`: both panels broadcast, partials accumulate locally.
+    Ab { a: &'a Arc<T>, b: &'a Arc<T> },
+    /// `C = A·Bᵀ`: `B` panels along the column, partials row-reduced.
+    Nt { a: &'a T, b: &'a Arc<T> },
+    /// `C = Aᵀ·B`: `A` panels along the row, partials column-reduced, then
+    /// optionally all-reduced across depth.
+    Tn { a: &'a Arc<T>, b: &'a T, depth_reduce: bool },
+}
+
+/// A broadcast panel: still in flight (pipelined prefetch) or in hand.
+enum Panel<'g, T> {
+    InFlight(PendingCollective<'g, Arc<T>>),
+    Ready(Arc<T>),
+}
+
+impl<T> Panel<'_, T> {
+    fn get(self, ctx: &mut RankCtx) -> Arc<T> {
+        match self {
+            Panel::InFlight(p) => p.complete(ctx),
+            Panel::Ready(x) => x,
+        }
+    }
+}
+
+/// Begins the step-`t` broadcast of `local` from member `t` of `group`
+/// (`coord` is this rank's member index); [`Schedule::Serial`] completes it
+/// on the spot.
+fn begin_panel<'g, T: Payload>(
+    group: &'g CommGroup,
     ctx: &mut RankCtx,
-    a_local: &Arc<T>,
-    b_local: &Arc<T>,
     t: usize,
-) -> (PendingCollective<'g, Arc<T>>, PendingCollective<'g, Arc<T>>)
+    coord: usize,
+    local: &Arc<T>,
+    schedule: Schedule,
+) -> Panel<'g, T> {
+    let pending = group.broadcast_begin(ctx, t, (coord == t).then(|| Arc::clone(local)));
+    match schedule {
+        Schedule::Serial => Panel::Ready(pending.complete(ctx)),
+        Schedule::Pipelined => Panel::InFlight(pending),
+    }
+}
+
+/// The SUMMA loop behind all three rules. Per step `t` it fetches the row
+/// panel (`A`, for `ab`/`tn`) and the column panel (`B`, for `ab`/`nt`),
+/// multiplies, and either accumulates (`ab`) or reduces the partial to
+/// member `t` of the row (`nt`) or column (`tn`) group, whose root keeps
+/// that block of the result.
+fn summa<T>(
+    grid: &TesseractGrid,
+    ctx: &mut RankCtx,
+    rule: Rule<'_, T>,
+    schedule: Schedule,
+) -> Arc<T>
 where
     T: TensorLike + Payload,
 {
-    let a = grid.row.broadcast_shared_begin(ctx, t, (grid.j() == t).then(|| Arc::clone(a_local)));
-    let b = grid.col.broadcast_shared_begin(ctx, t, (grid.i() == t).then(|| Arc::clone(b_local)));
-    (a, b)
+    let q = grid.shape.q;
+    let (row_src, col_src, red_group) = match rule {
+        Rule::Ab { a, b } => (Some(a), Some(b), None),
+        Rule::Nt { b, .. } => (None, Some(b), Some(&grid.row)),
+        Rule::Tn { a, .. } => (Some(a), None, Some(&grid.col)),
+    };
+    let depth_reduce = matches!(rule, Rule::Tn { depth_reduce: true, .. }) && grid.shape.d > 1;
+    let pipelined = schedule == Schedule::Pipelined;
+    let panels = |ctx: &mut RankCtx, t: usize| {
+        let a = row_src.map(|a| begin_panel(&grid.row, ctx, t, grid.j(), a, schedule));
+        let b = col_src.map(|b| begin_panel(&grid.col, ctx, t, grid.i(), b, schedule));
+        (a, b)
+    };
+    let mut acc: Option<T> = None;
+    let mut mine: Option<Arc<T>> = None;
+    let mut depth: Option<PendingCollective<'_, Arc<Arc<T>>>> = None;
+    // The step-`t` root keeps its reduced block — or, pipelined, begins
+    // the depth all-reduce on it at once: the same program point (`t = i`)
+    // on every member of its depth fiber, so the fiber stays in step.
+    // Reduce *through* the Arc: copy-on-write touches only member 0's
+    // accumulator, and every depth replica ends up holding the same
+    // combined allocation.
+    let mut keep = |ctx: &mut RankCtx, reduced: Option<Arc<T>>| {
+        if let Some(r) = reduced {
+            if depth_reduce && pipelined {
+                depth = Some(grid.depth.all_reduce_begin(ctx, r));
+            } else {
+                mine = Some(r);
+            }
+        }
+    };
+    let mut next = None;
+    let mut in_flight: Option<PendingCollective<'_, Option<Arc<T>>>> = None;
+    for t in 0..q {
+        let (a_t, b_t) = next.take().unwrap_or_else(|| panels(ctx, t));
+        let a_t = a_t.map(|p| p.get(ctx));
+        let b_t = b_t.map(|p| p.get(ctx));
+        if pipelined && t + 1 < q {
+            next = Some(panels(ctx, t + 1));
+        }
+        let partial = {
+            let gemm = &mut ctx.meter.scope("gemm");
+            match rule {
+                Rule::Ab { .. } => {
+                    a_t.expect("row panel").matmul(&b_t.expect("column panel"), gemm)
+                }
+                Rule::Nt { a, .. } => a.matmul_nt(&b_t.expect("column panel"), gemm),
+                Rule::Tn { b, .. } => a_t.expect("row panel").matmul_tn(b, gemm),
+            }
+        };
+        let Some(group) = red_group else {
+            match acc.as_mut() {
+                None => acc = Some(partial),
+                Some(c) => c.add_assign(&partial, &mut ctx.meter.scope("add")),
+            }
+            continue;
+        };
+        if let Some(prev) = in_flight.take() {
+            let reduced = prev.complete(ctx);
+            keep(ctx, reduced);
+        }
+        let pending = group.reduce_begin(ctx, t, partial);
+        if pipelined {
+            in_flight = Some(pending);
+        } else {
+            let reduced = pending.complete(ctx);
+            keep(ctx, reduced);
+        }
+    }
+    if let Some(prev) = in_flight {
+        let reduced = prev.complete(ctx);
+        keep(ctx, reduced);
+    }
+    if let Some(c) = acc {
+        return Arc::new(c);
+    }
+    if let Some(dp) = depth {
+        return Arc::clone(&*dp.complete(ctx));
+    }
+    let mine = mine.expect("every rank is root for exactly one t");
+    if depth_reduce {
+        Arc::clone(&*grid.depth.all_reduce(ctx, mine))
+    } else {
+        mine
+    }
 }
 
 /// `C = A·B` (Algorithm 3).
@@ -58,69 +205,19 @@ where
 /// Per step `t`: `A_{i,t,k}` is broadcast along the row, `B_{t,j,k}` along
 /// the column, and every rank accumulates `C += A_t · B_t`. No inter-layer
 /// communication happens in the forward pass.
-///
-/// The panels travel zero-copy: the step-`t` root deposits `Arc::clone` of
-/// its local block (no self-clone) and every member multiplies against the
-/// shared allocation, so each panel is materialized exactly once per
-/// rendezvous regardless of the group size.
-///
-/// The loop is double-buffered: step `t+1`'s panel broadcasts are begun
-/// before step `t`'s partial product is computed, hiding the rendezvous
-/// wait under the GEMM. Data is bitwise identical to
-/// [`tesseract_matmul_serial`].
 pub fn tesseract_matmul<T>(
     grid: &TesseractGrid,
     ctx: &mut RankCtx,
     a_local: &Arc<T>,
     b_local: &Arc<T>,
+    schedule: Schedule,
 ) -> T
 where
     T: TensorLike + Payload,
 {
-    let q = grid.shape.q;
     assert_eq!(a_local.cols(), b_local.rows(), "tesseract_matmul: inner block dims disagree");
-    let (pa, pb) = begin_panels(grid, ctx, a_local, b_local, 0);
-    let a_t = pa.complete(ctx);
-    let b_t = pb.complete(ctx);
-    let mut next = (q > 1).then(|| begin_panels(grid, ctx, a_local, b_local, 1));
-    let mut c = a_t.matmul(&b_t, &mut ctx.meter.scope("gemm"));
-    for t in 1..q {
-        let (pa, pb) = next.take().expect("prefetched by the previous step");
-        let a_t = pa.complete(ctx);
-        let b_t = pb.complete(ctx);
-        if t + 1 < q {
-            next = Some(begin_panels(grid, ctx, a_local, b_local, t + 1));
-        }
-        let partial = a_t.matmul(&b_t, &mut ctx.meter.scope("gemm"));
-        c.add_assign(&partial, &mut ctx.meter.scope("add"));
-    }
-    c
-}
-
-/// Blocking-collective reference for [`tesseract_matmul`]: the original
-/// serial SUMMA loop (broadcast, broadcast, multiply — every step waits).
-/// Kept as the parity baseline and the `overlap_sweep` ablation.
-pub fn tesseract_matmul_serial<T>(
-    grid: &TesseractGrid,
-    ctx: &mut RankCtx,
-    a_local: &Arc<T>,
-    b_local: &Arc<T>,
-) -> T
-where
-    T: TensorLike + Payload,
-{
-    let q = grid.shape.q;
-    assert_eq!(a_local.cols(), b_local.rows(), "tesseract_matmul: inner block dims disagree");
-    let a_t = grid.row.broadcast_shared(ctx, 0, (grid.j() == 0).then(|| Arc::clone(a_local)));
-    let b_t = grid.col.broadcast_shared(ctx, 0, (grid.i() == 0).then(|| Arc::clone(b_local)));
-    let mut c = a_t.matmul(&b_t, &mut ctx.meter.scope("gemm"));
-    for t in 1..q {
-        let a_t = grid.row.broadcast_shared(ctx, t, (grid.j() == t).then(|| Arc::clone(a_local)));
-        let b_t = grid.col.broadcast_shared(ctx, t, (grid.i() == t).then(|| Arc::clone(b_local)));
-        let partial = a_t.matmul(&b_t, &mut ctx.meter.scope("gemm"));
-        c.add_assign(&partial, &mut ctx.meter.scope("add"));
-    }
-    c
+    let c = summa(grid, ctx, Rule::Ab { a: a_local, b: b_local }, schedule);
+    Arc::into_inner(c).expect("the accumulated product is never shared")
 }
 
 /// `C = A·Bᵀ` — the activation-gradient rule `A' = C'·Bᵀ` of Eq. 3.
@@ -132,80 +229,18 @@ where
 /// Per step `t`: `B_{t,j,k}` is broadcast along the column; every rank
 /// computes `A · B_tᵀ` and the row reduces the partials to member `t`,
 /// which owns column block `t` of the result.
-///
-/// The weight panel is `Arc`-shared along the column and the freshly
-/// computed partials are consumed by the in-place row reduction, so the
-/// whole backward rule performs zero payload copies.
-///
-/// Double-buffered: step `t+1`'s column broadcast is begun before step
-/// `t`'s GEMM, and each step's row reduction is begun right after its
-/// partial is computed but only completed one step later — both waits hide
-/// under the next GEMM. Data is bitwise identical to
-/// [`tesseract_matmul_nt_serial`].
 pub fn tesseract_matmul_nt<T>(
     grid: &TesseractGrid,
     ctx: &mut RankCtx,
     a_local: &T,
     b_local: &Arc<T>,
+    schedule: Schedule,
 ) -> Arc<T>
 where
     T: TensorLike + Payload,
 {
-    let q = grid.shape.q;
     assert_eq!(a_local.cols(), b_local.cols(), "tesseract_matmul_nt: inner block dims disagree");
-    let mut mine: Option<Arc<T>> = None;
-    let pb = grid.col.broadcast_shared_begin(ctx, 0, (grid.i() == 0).then(|| Arc::clone(b_local)));
-    let b_t = pb.complete(ctx);
-    let mut next_b = (q > 1).then(|| {
-        grid.col.broadcast_shared_begin(ctx, 1, (grid.i() == 1).then(|| Arc::clone(b_local)))
-    });
-    let partial = a_local.matmul_nt(&b_t, &mut ctx.meter.scope("gemm"));
-    let mut pending_red = grid.row.reduce_shared_begin(ctx, 0, partial);
-    for t in 1..q {
-        let pb = next_b.take().expect("prefetched by the previous step");
-        let b_t = pb.complete(ctx);
-        if t + 1 < q {
-            next_b = Some(grid.col.broadcast_shared_begin(
-                ctx,
-                t + 1,
-                (grid.i() == t + 1).then(|| Arc::clone(b_local)),
-            ));
-        }
-        let partial = a_local.matmul_nt(&b_t, &mut ctx.meter.scope("gemm"));
-        if let Some(r) = pending_red.complete(ctx) {
-            mine = Some(r);
-        }
-        pending_red = grid.row.reduce_shared_begin(ctx, t, partial);
-    }
-    if let Some(r) = pending_red.complete(ctx) {
-        mine = Some(r);
-    }
-    mine.expect("every rank is root for exactly one t")
-}
-
-/// Blocking-collective reference for [`tesseract_matmul_nt`]: one fully
-/// synchronous broadcast + reduce per step.
-pub fn tesseract_matmul_nt_serial<T>(
-    grid: &TesseractGrid,
-    ctx: &mut RankCtx,
-    a_local: &T,
-    b_local: &Arc<T>,
-) -> Arc<T>
-where
-    T: TensorLike + Payload,
-{
-    let q = grid.shape.q;
-    assert_eq!(a_local.cols(), b_local.cols(), "tesseract_matmul_nt: inner block dims disagree");
-    let mut mine: Option<Arc<T>> = None;
-    for t in 0..q {
-        let b_t = grid.col.broadcast_shared(ctx, t, (grid.i() == t).then(|| Arc::clone(b_local)));
-        let partial = a_local.matmul_nt(&b_t, &mut ctx.meter.scope("gemm"));
-        let reduced = grid.row.reduce_shared(ctx, t, partial);
-        if grid.j() == t {
-            mine = Some(reduced.expect("root receives reduction"));
-        }
-    }
-    mine.expect("every rank is root for exactly one t")
+    summa(grid, ctx, Rule::Nt { a: a_local, b: b_local }, schedule)
 }
 
 /// `C = Aᵀ·B` — the weight-gradient rule `B' = Aᵀ·C'` of Eq. 3.
@@ -220,115 +255,19 @@ where
 /// partial weight gradients are finally **all-reduced across depth**
 /// (`depth_reduce = true`), exactly as §3.1 prescribes for `B'`. Pass
 /// `false` to inspect the per-layer partials (used by tests and ablations).
-///
-/// Double-buffered like [`tesseract_matmul_nt`]; in addition the depth
-/// all-reduce is begun the moment this rank's column reduction delivers
-/// its final local contribution (at step `t = i`, the same program point
-/// on every member of the depth fiber), so it overlaps the remaining SUMMA
-/// steps. Data is bitwise identical to [`tesseract_matmul_tn_serial`].
 pub fn tesseract_matmul_tn<T>(
     grid: &TesseractGrid,
     ctx: &mut RankCtx,
     a_local: &Arc<T>,
     b_local: &T,
     depth_reduce: bool,
+    schedule: Schedule,
 ) -> Arc<T>
 where
     T: TensorLike + Payload,
 {
-    let q = grid.shape.q;
     assert_eq!(a_local.rows(), b_local.rows(), "tesseract_matmul_tn: inner block dims disagree");
-    let overlap_depth = depth_reduce && grid.shape.d > 1;
-    let mut mine: Option<Arc<T>> = None;
-    let mut depth_pending: Option<PendingCollective<'_, Arc<Arc<T>>>> = None;
-    let pa = grid.row.broadcast_shared_begin(ctx, 0, (grid.j() == 0).then(|| Arc::clone(a_local)));
-    let a_t = pa.complete(ctx);
-    let mut next_a = (q > 1).then(|| {
-        grid.row.broadcast_shared_begin(ctx, 1, (grid.j() == 1).then(|| Arc::clone(a_local)))
-    });
-    let partial = a_t.matmul_tn(b_local, &mut ctx.meter.scope("gemm"));
-    let mut pending_red = grid.col.reduce_shared_begin(ctx, 0, partial);
-    for t in 1..q {
-        let pa = next_a.take().expect("prefetched by the previous step");
-        let a_t = pa.complete(ctx);
-        if t + 1 < q {
-            next_a = Some(grid.row.broadcast_shared_begin(
-                ctx,
-                t + 1,
-                (grid.j() == t + 1).then(|| Arc::clone(a_local)),
-            ));
-        }
-        let partial = a_t.matmul_tn(b_local, &mut ctx.meter.scope("gemm"));
-        let reduced = pending_red.complete(ctx);
-        settle_reduced(grid, ctx, overlap_depth, reduced, &mut mine, &mut depth_pending);
-        pending_red = grid.col.reduce_shared_begin(ctx, t, partial);
-    }
-    let reduced = pending_red.complete(ctx);
-    settle_reduced(grid, ctx, overlap_depth, reduced, &mut mine, &mut depth_pending);
-    if let Some(dp) = depth_pending {
-        mine = Some(Arc::clone(&*dp.complete(ctx)));
-    }
-    mine.expect("every rank is root for exactly one t")
-}
-
-/// Disposes of one completed column reduction in [`tesseract_matmul_tn`]:
-/// the step-`t` root (rank `i == t`) either keeps the combined block or,
-/// when overlapping the depth all-reduce, begins it immediately — the same
-/// program point on every member of its depth fiber, so the fiber's SPMD
-/// schedule stays aligned.
-fn settle_reduced<'g, T>(
-    grid: &'g TesseractGrid,
-    ctx: &mut RankCtx,
-    overlap_depth: bool,
-    reduced: Option<Arc<T>>,
-    mine: &mut Option<Arc<T>>,
-    depth_pending: &mut Option<PendingCollective<'g, Arc<Arc<T>>>>,
-) where
-    T: TensorLike + Payload,
-{
-    if let Some(r) = reduced {
-        if overlap_depth {
-            // Reduce *through* the Arc: copy-on-write touches only member
-            // 0's accumulator, and every depth replica ends up holding the
-            // same combined allocation.
-            *depth_pending = Some(grid.depth.all_reduce_shared_begin(ctx, r));
-        } else {
-            *mine = Some(r);
-        }
-    }
-}
-
-/// Blocking-collective reference for [`tesseract_matmul_tn`]: one fully
-/// synchronous broadcast + reduce per step, depth all-reduce at the end.
-pub fn tesseract_matmul_tn_serial<T>(
-    grid: &TesseractGrid,
-    ctx: &mut RankCtx,
-    a_local: &Arc<T>,
-    b_local: &T,
-    depth_reduce: bool,
-) -> Arc<T>
-where
-    T: TensorLike + Payload,
-{
-    let q = grid.shape.q;
-    assert_eq!(a_local.rows(), b_local.rows(), "tesseract_matmul_tn: inner block dims disagree");
-    let mut mine: Option<Arc<T>> = None;
-    for t in 0..q {
-        let a_t = grid.row.broadcast_shared(ctx, t, (grid.j() == t).then(|| Arc::clone(a_local)));
-        let partial = a_t.matmul_tn(b_local, &mut ctx.meter.scope("gemm"));
-        let reduced = grid.col.reduce_shared(ctx, t, partial);
-        if grid.i() == t {
-            mine = Some(reduced.expect("root receives reduction"));
-        }
-    }
-    let mut c = mine.expect("every rank is root for exactly one t");
-    if depth_reduce && grid.shape.d > 1 {
-        // Reduce *through* the Arc: copy-on-write touches only member 0's
-        // accumulator, and every depth replica ends up holding the same
-        // combined allocation.
-        c = Arc::clone(&*grid.depth.all_reduce_shared(ctx, c));
-    }
-    c
+    summa(grid, ctx, Rule::Tn { a: a_local, b: b_local, depth_reduce }, schedule)
 }
 
 #[cfg(test)]
@@ -352,7 +291,7 @@ mod tests {
             let (i, j, k) = grid.coords;
             let a_loc = Arc::new(DenseTensor::from_matrix(a_block(a, shape, i, j, k)));
             let b_loc = Arc::new(DenseTensor::from_matrix(b_block(b, shape, i, j)));
-            tesseract_matmul(&grid, ctx, &a_loc, &b_loc).into_matrix()
+            tesseract_matmul(&grid, ctx, &a_loc, &b_loc, Schedule::Pipelined).into_matrix()
         });
         combine_c(&out.results, shape)
     }
@@ -407,7 +346,9 @@ mod tests {
                 let (i, j, k) = grid.coords;
                 let a_loc = DenseTensor::from_matrix(a_block(&a, shape, i, j, k));
                 let b_loc = Arc::new(DenseTensor::from_matrix(b_block(&b, shape, i, j)));
-                tesseract_matmul_nt(&grid, ctx, &a_loc, &b_loc).matrix().clone()
+                tesseract_matmul_nt(&grid, ctx, &a_loc, &b_loc, Schedule::Pipelined)
+                    .matrix()
+                    .clone()
             });
             let got = combine_c(&out.results, shape);
             let expected = matmul::matmul_nt(&a, &b);
@@ -428,7 +369,9 @@ mod tests {
                 let (i, j, k) = grid.coords;
                 let a_loc = Arc::new(DenseTensor::from_matrix(a_block(&a, shape, i, j, k)));
                 let b_loc = DenseTensor::from_matrix(a_block(&b, shape, i, j, k));
-                tesseract_matmul_tn(&grid, ctx, &a_loc, &b_loc, true).matrix().clone()
+                tesseract_matmul_tn(&grid, ctx, &a_loc, &b_loc, true, Schedule::Pipelined)
+                    .matrix()
+                    .clone()
             });
             let got = combine_b(&out.results, shape);
             let expected = matmul::matmul_tn(&a, &b);
@@ -453,7 +396,9 @@ mod tests {
             let (i, j, k) = grid.coords;
             let a_loc = Arc::new(DenseTensor::from_matrix(a_block(&a, shape, i, j, k)));
             let b_loc = DenseTensor::from_matrix(a_block(&b, shape, i, j, k));
-            tesseract_matmul_tn(&grid, ctx, &a_loc, &b_loc, false).matrix().clone()
+            tesseract_matmul_tn(&grid, ctx, &a_loc, &b_loc, false, Schedule::Pipelined)
+                .matrix()
+                .clone()
         });
         // Summing partials across depth by hand must equal the full result.
         let mut parts = Vec::new();
@@ -490,7 +435,7 @@ mod tests {
             // Global A [16, 8], B [8, 8] at shadow scale.
             let a_loc = Arc::new(ShadowTensor::new(16 / 4, 8 / 2));
             let b_loc = Arc::new(ShadowTensor::new(8 / 2, 8 / 2));
-            let c = tesseract_matmul(&grid, ctx, &a_loc, &b_loc);
+            let c = tesseract_matmul(&grid, ctx, &a_loc, &b_loc, Schedule::Pipelined);
             ctx.flush_compute();
             (c.shape(), ctx.clock())
         });
@@ -512,13 +457,13 @@ mod tests {
             let (i, j, k) = grid.coords;
             let a_loc = Arc::new(DenseTensor::from_matrix(a_block(&a, shape, i, j, k)));
             let b_loc = Arc::new(DenseTensor::from_matrix(b_block(&b, shape, i, j)));
-            let _ = tesseract_matmul(&grid, ctx, &a_loc, &b_loc);
+            let _ = tesseract_matmul(&grid, ctx, &a_loc, &b_loc, Schedule::Pipelined);
         });
         let shadow = Cluster::a100(shape.size()).run(|ctx| {
             let grid = TesseractGrid::new(ctx, shape, 0);
             let a_loc = Arc::new(ShadowTensor::new(4, 4));
             let b_loc = Arc::new(ShadowTensor::new(4, 4));
-            let _ = tesseract_matmul(&grid, ctx, &a_loc, &b_loc);
+            let _ = tesseract_matmul(&grid, ctx, &a_loc, &b_loc, Schedule::Pipelined);
         });
         assert!((dense.makespan() - shadow.makespan()).abs() < 1e-15);
         assert_eq!(dense.comm.total_wire_bytes(), shadow.comm.total_wire_bytes());

@@ -1,19 +1,20 @@
 //! Parity suite for the zero-copy collective path: the `Arc`-shared
 //! broadcasts and in-place reductions used by the three Tesseract matmul
 //! variants must be **bitwise** identical to the historical cloning path
-//! (every receiver gets a deep copy, reductions fold cloned deposits), and
-//! the forward pass must perform zero per-receiver payload copies.
+//! (every receiver takes an owned deep copy of each result), and the
+//! forward pass must perform zero per-receiver payload copies.
 //!
 //! The cloning implementations below are deliberate re-creations of the
-//! pre-refactor algorithms on the owned collective API; they share nothing
-//! with `tesseract_core::mm` except the grid.
+//! pre-refactor blocking loops, owning every collective result through
+//! `RankCtx::clone_counted`; they share nothing with `tesseract_core::mm`
+//! except the grid.
 
 use std::sync::Arc;
 
 use tesseract_comm::{Cluster, CollectiveOp, RankCtx};
 use tesseract_core::partition::{a_block, b_block};
 use tesseract_core::{
-    tesseract_matmul, tesseract_matmul_nt, tesseract_matmul_tn, GridShape, TesseractGrid,
+    tesseract_matmul, tesseract_matmul_nt, tesseract_matmul_tn, GridShape, Schedule, TesseractGrid,
 };
 use tesseract_tensor::{DenseTensor, Matrix, TensorLike, Xoshiro256StarStar};
 
@@ -25,7 +26,7 @@ fn random(rows: usize, cols: usize, seed: u64) -> Matrix {
     Matrix::random_uniform(rows, cols, -1.0, 1.0, &mut rng)
 }
 
-/// Algorithm 3 on the owned (cloning) collectives.
+/// Algorithm 3, owning every broadcast panel.
 fn cloning_matmul(
     grid: &TesseractGrid,
     ctx: &mut RankCtx,
@@ -35,8 +36,10 @@ fn cloning_matmul(
     let q = grid.shape.q;
     let mut c: Option<DenseTensor> = None;
     for t in 0..q {
-        let a_t = grid.row.broadcast(ctx, t, (grid.j() == t).then(|| a_local.clone()));
-        let b_t = grid.col.broadcast(ctx, t, (grid.i() == t).then(|| b_local.clone()));
+        let a_t = grid.row.broadcast(ctx, t, (grid.j() == t).then(|| Arc::new(a_local.clone())));
+        let a_t = ctx.clone_counted(CollectiveOp::Broadcast, &*a_t);
+        let b_t = grid.col.broadcast(ctx, t, (grid.i() == t).then(|| Arc::new(b_local.clone())));
+        let b_t = ctx.clone_counted(CollectiveOp::Broadcast, &*b_t);
         let partial = a_t.matmul(&b_t, &mut ctx.meter);
         match c.as_mut() {
             None => c = Some(partial),
@@ -46,7 +49,7 @@ fn cloning_matmul(
     c.expect("q >= 1")
 }
 
-/// `C = A·Bᵀ` on the owned collectives.
+/// `C = A·Bᵀ`, owning every panel and the reduced block.
 fn cloning_matmul_nt(
     grid: &TesseractGrid,
     ctx: &mut RankCtx,
@@ -56,17 +59,19 @@ fn cloning_matmul_nt(
     let q = grid.shape.q;
     let mut mine: Option<DenseTensor> = None;
     for t in 0..q {
-        let b_t = grid.col.broadcast(ctx, t, (grid.i() == t).then(|| b_local.clone()));
+        let b_t = grid.col.broadcast(ctx, t, (grid.i() == t).then(|| Arc::new(b_local.clone())));
+        let b_t = ctx.clone_counted(CollectiveOp::Broadcast, &*b_t);
         let partial = a_local.matmul_nt(&b_t, &mut ctx.meter);
         let reduced = grid.row.reduce(ctx, t, partial);
         if grid.j() == t {
-            mine = Some(reduced.expect("root receives reduction"));
+            let reduced = reduced.expect("root receives reduction");
+            mine = Some(ctx.clone_counted(CollectiveOp::Reduce, &*reduced));
         }
     }
     mine.expect("every rank is root for exactly one t")
 }
 
-/// `C = Aᵀ·B` on the owned collectives.
+/// `C = Aᵀ·B`, owning every panel and reduced block.
 fn cloning_matmul_tn(
     grid: &TesseractGrid,
     ctx: &mut RankCtx,
@@ -77,16 +82,19 @@ fn cloning_matmul_tn(
     let q = grid.shape.q;
     let mut mine: Option<DenseTensor> = None;
     for t in 0..q {
-        let a_t = grid.row.broadcast(ctx, t, (grid.j() == t).then(|| a_local.clone()));
+        let a_t = grid.row.broadcast(ctx, t, (grid.j() == t).then(|| Arc::new(a_local.clone())));
+        let a_t = ctx.clone_counted(CollectiveOp::Broadcast, &*a_t);
         let partial = a_t.matmul_tn(b_local, &mut ctx.meter);
         let reduced = grid.col.reduce(ctx, t, partial);
         if grid.i() == t {
-            mine = Some(reduced.expect("root receives reduction"));
+            let reduced = reduced.expect("root receives reduction");
+            mine = Some(ctx.clone_counted(CollectiveOp::Reduce, &*reduced));
         }
     }
     let mut c = mine.expect("every rank is root for exactly one t");
     if depth_reduce && grid.shape.d > 1 {
-        c = grid.depth.all_reduce(ctx, c);
+        let summed = grid.depth.all_reduce(ctx, c);
+        c = ctx.clone_counted(CollectiveOp::AllReduce, &*summed);
     }
     c
 }
@@ -106,7 +114,14 @@ fn shared_matmul_is_bitwise_equal_to_cloning_path() {
                 let a_loc = DenseTensor::from_matrix(a_block(&a, shape, i, j, k));
                 let b_loc = DenseTensor::from_matrix(b_block(&b, shape, i, j));
                 if shared {
-                    tesseract_matmul(&grid, ctx, &Arc::new(a_loc), &Arc::new(b_loc)).into_matrix()
+                    tesseract_matmul(
+                        &grid,
+                        ctx,
+                        &Arc::new(a_loc),
+                        &Arc::new(b_loc),
+                        Schedule::Pipelined,
+                    )
+                    .into_matrix()
                 } else {
                     cloning_matmul(&grid, ctx, &a_loc, &b_loc).into_matrix()
                 }
@@ -138,7 +153,9 @@ fn shared_matmul_nt_is_bitwise_equal_to_cloning_path() {
                 let a_loc = DenseTensor::from_matrix(a_block(&a, shape, i, j, k));
                 let b_loc = DenseTensor::from_matrix(b_block(&b, shape, i, j));
                 if shared {
-                    tesseract_matmul_nt(&grid, ctx, &a_loc, &Arc::new(b_loc)).matrix().clone()
+                    tesseract_matmul_nt(&grid, ctx, &a_loc, &Arc::new(b_loc), Schedule::Pipelined)
+                        .matrix()
+                        .clone()
                 } else {
                     cloning_matmul_nt(&grid, ctx, &a_loc, &b_loc).into_matrix()
                 }
@@ -167,7 +184,16 @@ fn shared_matmul_tn_is_bitwise_equal_to_cloning_path() {
                 let a_loc = DenseTensor::from_matrix(a_block(&a, shape, i, j, k));
                 let b_loc = DenseTensor::from_matrix(a_block(&b, shape, i, j, k));
                 if shared {
-                    tesseract_matmul_tn(&grid, ctx, &Arc::new(a_loc), &b_loc, true).matrix().clone()
+                    tesseract_matmul_tn(
+                        &grid,
+                        ctx,
+                        &Arc::new(a_loc),
+                        &b_loc,
+                        true,
+                        Schedule::Pipelined,
+                    )
+                    .matrix()
+                    .clone()
                 } else {
                     cloning_matmul_tn(&grid, ctx, &a_loc, &b_loc, true).into_matrix()
                 }
@@ -196,7 +222,7 @@ fn forward_matmul_on_4x4x2_copies_nothing() {
         let (i, j, k) = grid.coords;
         let a_loc = Arc::new(DenseTensor::from_matrix(a_block(&a, shape, i, j, k)));
         let b_loc = Arc::new(DenseTensor::from_matrix(b_block(&b, shape, i, j)));
-        let _ = tesseract_matmul(&grid, ctx, &a_loc, &b_loc);
+        let _ = tesseract_matmul(&grid, ctx, &a_loc, &b_loc, Schedule::Pipelined);
         ctx.flush_compute();
     });
     let bcast = out.comm.get(CollectiveOp::Broadcast);

@@ -1,6 +1,6 @@
-//! Parity suite for the double-buffered SUMMA pipeline: the overlapped
-//! loops in `tesseract_core::mm` must be **bitwise** identical to their
-//! blocking `*_serial` twins — forward and both backward rules — on every
+//! Parity suite for the double-buffered SUMMA pipeline: the products of
+//! `tesseract_core::mm` under `Schedule::Pipelined` must be **bitwise**
+//! identical to `Schedule::Serial` — forward and both backward rules — on every
 //! grid the issue names, and the overlap must never make the simulated
 //! step slower.
 
@@ -8,8 +8,7 @@ use std::sync::Arc;
 
 use tesseract_comm::Cluster;
 use tesseract_core::{
-    tesseract_matmul, tesseract_matmul_nt, tesseract_matmul_nt_serial, tesseract_matmul_serial,
-    tesseract_matmul_tn, tesseract_matmul_tn_serial, GridShape, TesseractGrid,
+    tesseract_matmul, tesseract_matmul_nt, tesseract_matmul_tn, GridShape, Schedule, TesseractGrid,
 };
 use tesseract_tensor::{DenseTensor, Matrix, Xoshiro256StarStar};
 
@@ -57,12 +56,12 @@ fn forward_pipeline_is_bitwise_identical_to_serial() {
             |grid, ctx| {
                 let a = Arc::new(block(3, 4, 100 + ctx.rank as u64));
                 let b = Arc::new(block(4, 5, 200 + ctx.rank as u64));
-                tesseract_matmul(grid, ctx, &a, &b).matrix().clone()
+                tesseract_matmul(grid, ctx, &a, &b, Schedule::Pipelined).matrix().clone()
             },
             |grid, ctx| {
                 let a = Arc::new(block(3, 4, 100 + ctx.rank as u64));
                 let b = Arc::new(block(4, 5, 200 + ctx.rank as u64));
-                tesseract_matmul_serial(grid, ctx, &a, &b).matrix().clone()
+                tesseract_matmul(grid, ctx, &a, &b, Schedule::Serial).matrix().clone()
             },
         );
     }
@@ -78,12 +77,12 @@ fn nt_backward_pipeline_is_bitwise_identical_to_serial() {
             |grid, ctx| {
                 let a = block(3, 6, 300 + ctx.rank as u64);
                 let b = Arc::new(block(4, 6, 400 + ctx.rank as u64));
-                tesseract_matmul_nt(grid, ctx, &a, &b).matrix().clone()
+                tesseract_matmul_nt(grid, ctx, &a, &b, Schedule::Pipelined).matrix().clone()
             },
             |grid, ctx| {
                 let a = block(3, 6, 300 + ctx.rank as u64);
                 let b = Arc::new(block(4, 6, 400 + ctx.rank as u64));
-                tesseract_matmul_nt_serial(grid, ctx, &a, &b).matrix().clone()
+                tesseract_matmul_nt(grid, ctx, &a, &b, Schedule::Serial).matrix().clone()
             },
         );
     }
@@ -105,12 +104,16 @@ fn tn_backward_pipeline_is_bitwise_identical_to_serial() {
                 move |grid, ctx| {
                     let a = Arc::new(block(5, 3, 500 + ctx.rank as u64));
                     let b = block(5, 4, 600 + ctx.rank as u64);
-                    tesseract_matmul_tn(grid, ctx, &a, &b, depth_reduce).matrix().clone()
+                    tesseract_matmul_tn(grid, ctx, &a, &b, depth_reduce, Schedule::Pipelined)
+                        .matrix()
+                        .clone()
                 },
                 move |grid, ctx| {
                     let a = Arc::new(block(5, 3, 500 + ctx.rank as u64));
                     let b = block(5, 4, 600 + ctx.rank as u64);
-                    tesseract_matmul_tn_serial(grid, ctx, &a, &b, depth_reduce).matrix().clone()
+                    tesseract_matmul_tn(grid, ctx, &a, &b, depth_reduce, Schedule::Serial)
+                        .matrix()
+                        .clone()
                 },
             );
         }
@@ -127,13 +130,13 @@ fn pipeline_strictly_beats_serial_on_the_cube() {
         let grid = TesseractGrid::new(ctx, shape, 0);
         let a = Arc::new(block(16, 16, 700 + ctx.rank as u64));
         let b = Arc::new(block(16, 16, 800 + ctx.rank as u64));
-        let _ = tesseract_matmul(&grid, ctx, &a, &b);
+        let _ = tesseract_matmul(&grid, ctx, &a, &b, Schedule::Pipelined);
     });
     let slow = Cluster::a100(shape.size()).run(|ctx| {
         let grid = TesseractGrid::new(ctx, shape, 0);
         let a = Arc::new(block(16, 16, 700 + ctx.rank as u64));
         let b = Arc::new(block(16, 16, 800 + ctx.rank as u64));
-        let _ = tesseract_matmul_serial(&grid, ctx, &a, &b);
+        let _ = tesseract_matmul(&grid, ctx, &a, &b, Schedule::Serial);
     });
     assert!(
         fast.makespan() < slow.makespan(),

@@ -9,7 +9,7 @@
 use proptest::prelude::*;
 use tesseract_comm::Cluster;
 use tesseract_core::analysis;
-use tesseract_core::mm::tesseract_matmul;
+use tesseract_core::mm::{tesseract_matmul, Schedule};
 use tesseract_core::partition::{a_block, b_block, combine_c, split_a, split_b};
 use tesseract_core::{GridShape, TesseractGrid};
 use tesseract_tensor::{matmul::matmul, max_rel_diff, DenseTensor, Matrix, Xoshiro256StarStar};
@@ -113,7 +113,7 @@ proptest! {
             let (i, j, k) = grid.coords;
             let a_loc = std::sync::Arc::new(DenseTensor::from_matrix(a_block(&a, shape, i, j, k)));
             let b_loc = std::sync::Arc::new(DenseTensor::from_matrix(b_block(&b, shape, i, j)));
-            tesseract_matmul(&grid, ctx, &a_loc, &b_loc).into_matrix()
+            tesseract_matmul(&grid, ctx, &a_loc, &b_loc, Schedule::Pipelined).into_matrix()
         });
         let got = combine_c(&out.results, shape);
         let expected = matmul(&a, &b);
@@ -137,7 +137,7 @@ proptest! {
                 std::sync::Arc::new(tesseract_tensor::ShadowTensor::new(a_rows / (q * d), inner / q));
             let b_loc =
                 std::sync::Arc::new(tesseract_tensor::ShadowTensor::new(inner / q, b_cols / q));
-            let _ = tesseract_matmul(&grid, ctx, &a_loc, &b_loc);
+            let _ = tesseract_matmul(&grid, ctx, &a_loc, &b_loc, Schedule::Pipelined);
         });
         let a_block_bytes = (a_rows / (q * d)) * (inner / q) * 4;
         let b_block_bytes = (inner / q) * (b_cols / q) * 4;

@@ -9,8 +9,8 @@ use tesseract_comm::RunConfig;
 use tesseract_core::layers::{TesseractLayerNorm, TesseractLinear};
 use tesseract_core::partition::{a_block, b_block};
 use tesseract_core::{
-    tesseract_matmul, tesseract_matmul_nt, tesseract_matmul_tn, GridShape, Module, Sequential,
-    TesseractGrid,
+    tesseract_matmul, tesseract_matmul_nt, tesseract_matmul_tn, GridShape, Module, Schedule,
+    Sequential, TesseractGrid,
 };
 use tesseract_tensor::trace::{chrome, json};
 use tesseract_tensor::{DenseTensor, Matrix, TraceKind, Xoshiro256StarStar};
@@ -32,9 +32,9 @@ fn traced_step(shape: GridShape, trace: bool) -> tesseract_comm::RunOutput<Matri
         let (i, j, k) = grid.coords;
         let a_loc = Arc::new(DenseTensor::from_matrix(a_block(&a, shape, i, j, k)));
         let b_loc = Arc::new(DenseTensor::from_matrix(b_block(&b, shape, i, j)));
-        let dy = tesseract_matmul(&grid, ctx, &a_loc, &b_loc);
-        let _dx = tesseract_matmul_nt(&grid, ctx, &dy, &b_loc);
-        let dw = tesseract_matmul_tn(&grid, ctx, &a_loc, &dy, true);
+        let dy = tesseract_matmul(&grid, ctx, &a_loc, &b_loc, Schedule::Pipelined);
+        let _dx = tesseract_matmul_nt(&grid, ctx, &dy, &b_loc, Schedule::Pipelined);
+        let dw = tesseract_matmul_tn(&grid, ctx, &a_loc, &dy, true, Schedule::Pipelined);
         ctx.flush_compute();
         dw.matrix().clone()
     })

@@ -46,7 +46,7 @@ impl DataParallel {
         // contribution; the combined sum comes back shared.
         let mut sync = |pr: ParamRef<'_, T>| {
             let g = std::mem::replace(pr.grad, T::zeros(1, 1));
-            let summed = group.all_reduce_shared(ctx, g);
+            let summed = group.all_reduce(ctx, g);
             *pr.grad = summed.scale(inv, &mut ctx.meter);
         };
         visit(&mut sync);

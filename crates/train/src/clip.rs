@@ -9,7 +9,7 @@
 //! every block `d` times. The resulting scale factor is identical on every
 //! rank, so the clip itself needs no further communication.
 
-use tesseract_comm::{Payload, RankCtx};
+use tesseract_comm::{CollectiveOp, Payload, RankCtx};
 use tesseract_core::module::Module;
 use tesseract_core::TesseractGrid;
 use tesseract_tensor::{DenseTensor, Matrix, Meter, TensorLike};
@@ -46,6 +46,7 @@ pub fn clip_grad_norm<T: TensorLike + Payload>(
     let local_sq = local_sq?;
     let packed = DenseTensor::from_matrix(Matrix::from_vec(1, 1, vec![local_sq]));
     let packed = grid.row.all_reduce(ctx, packed);
+    let packed = ctx.clone_counted(CollectiveOp::AllReduce, &*packed);
     let packed = grid.col.all_reduce(ctx, packed);
     let norm = packed.matrix()[(0, 0)].sqrt();
     if norm > max_norm {

@@ -4,7 +4,7 @@
 //! reproducing the paper's finding that Tesseract "does not affect the
 //! model's accuracy".
 
-use tesseract_comm::Cluster;
+use tesseract_comm::{Cluster, CollectiveOp};
 use tesseract_core::partition::a_block;
 use tesseract_core::{GridShape, Module, TesseractGrid};
 use tesseract_tensor::{nn, DenseTensor, Matrix, Meter};
@@ -162,7 +162,12 @@ pub fn train_tesseract(
                     vec![loss_local, correct_local as f32],
                 ));
                 let packed = grid.col.all_reduce(ctx, packed);
-                let packed = if shape.d > 1 { grid.depth.all_reduce(ctx, packed) } else { packed };
+                let packed = if shape.d > 1 {
+                    let packed = ctx.clone_counted(CollectiveOp::AllReduce, &*packed);
+                    grid.depth.all_reduce(ctx, packed)
+                } else {
+                    packed
+                };
                 loss_sum += packed.matrix()[(0, 0)] / b as f32;
                 correct_sum += packed.matrix()[(0, 1)] as usize;
             }

@@ -213,7 +213,7 @@ pub fn distributed_cross_entropy(
     let q = grid.shape.q;
     // Zero-copy gather: each rank's logits block is deposited once and read
     // through `Arc`s; only the column-concat below materializes new data.
-    let parts = grid.row.all_gather_shared(ctx, Arc::clone(logits_local));
+    let parts = grid.row.all_gather(ctx, Arc::clone(logits_local));
     let mats: Vec<Matrix> = parts.iter().map(|p| p.matrix().clone()).collect();
     let full = Matrix::concat_cols(&mats);
     assert_eq!(full.rows(), labels_local.len(), "labels must cover local samples");

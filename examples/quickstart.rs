@@ -5,7 +5,7 @@
 //! Run: `cargo run --release --example quickstart`
 
 use tesseract_repro::comm::Cluster;
-use tesseract_repro::core::mm::tesseract_matmul;
+use tesseract_repro::core::mm::{tesseract_matmul, Schedule};
 use tesseract_repro::core::partition::{a_block, b_block, combine_c};
 use tesseract_repro::core::{GridShape, TesseractGrid};
 use tesseract_repro::tensor::matmul::matmul;
@@ -33,7 +33,7 @@ fn main() {
         let (i, j, k) = grid.coords;
         let a_local = std::sync::Arc::new(DenseTensor::from_matrix(a_block(&a, shape, i, j, k)));
         let b_local = std::sync::Arc::new(DenseTensor::from_matrix(b_block(&b, shape, i, j)));
-        tesseract_matmul(&grid, ctx, &a_local, &b_local).into_matrix()
+        tesseract_matmul(&grid, ctx, &a_local, &b_local, Schedule::Pipelined).into_matrix()
     });
 
     // Combine the distributed C blocks and compare against serial matmul.

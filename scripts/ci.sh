@@ -66,20 +66,35 @@ fi
 # The copy-regression gate itself is crates/core/tests/collectives_parity.rs
 # (runs under `cargo test` above): any reintroduced per-receiver clone in the
 # SUMMA hot loop fails the `total_copies() == 0` assertions.
-echo "== collectives_sweep smoke (tiny sizes) =="
+echo "== collectives_sweep smoke (rendezvous rows) =="
 cargo run -q --release --offline -p tesseract-bench --bin collectives_sweep -- \
-    --sizes 64 --reps 2 --iters 4 --out target/BENCH_collectives.smoke.json
+    --reps 2 --out target/BENCH_collectives.smoke.json
 grep -q '"rendezvous": \[' target/BENCH_collectives.smoke.json \
     || { echo "ci.sh: collectives_sweep wrote no rendezvous section"; exit 1; }
 grep -q '"world": 64, "groups": 32, "group_size": 2, "host_us_per_round": [0-9]' \
     target/BENCH_collectives.smoke.json \
     || { echo "ci.sh: rendezvous section lacks the disjoint-pairs row"; exit 1; }
 
-# The bitwise-parity gate itself is crates/core/tests/overlap_parity.rs (runs
-# under `cargo test` above); the sweep additionally re-checks parity per size.
-echo "== overlap_sweep smoke (tiny sizes) =="
+# The committed simulated BENCH files record no host field, so each must
+# reproduce byte-for-byte from its README command on any host, kernel path
+# and thread count: any drift in a simulated result fails here.
+# overlap_sweep also re-checks pipelined-vs-serial parity per size (the gate
+# itself is crates/core/tests/overlap_parity.rs); plan_sweep asserts the
+# Table 1/2 winner re-derivations and round-trips its JSON.
+echo "== simulated BENCH files reproduce byte-for-byte =="
 cargo run -q --release --offline -p tesseract-bench --bin overlap_sweep -- \
-    --sizes 64 --out target/BENCH_overlap.smoke.json
+    --out target/BENCH_overlap.json > /dev/null
+cmp target/BENCH_overlap.json BENCH_overlap.json \
+    || { echo "ci.sh: regenerated BENCH_overlap.json differs from the committed file"; exit 1; }
+cargo run -q --release --offline -p tesseract-bench --bin plan_sweep -- \
+    --mode all --out target/BENCH_plan.json > /dev/null
+cmp target/BENCH_plan.json BENCH_plan.json \
+    || { echo "ci.sh: regenerated BENCH_plan.json differs from the committed file"; exit 1; }
+cargo run -q --release --offline -p tesseract-bench --bin serve_sweep -- \
+    --grids "2,1;2,2;4,1" --requests 48 --out target/BENCH_serving.json \
+    --trace-out target/TRACE_serving.json > /dev/null
+cmp target/BENCH_serving.json BENCH_serving.json \
+    || { echo "ci.sh: regenerated BENCH_serving.json differs from the committed file"; exit 1; }
 
 # trace_dump reconciles the event trace against Meter/CommStats internally
 # (panics on mismatch) and re-parses its own Chrome JSON before writing.
@@ -102,15 +117,12 @@ grep -q '"intra_node_hier_exceeds_flat": false' target/BENCH_comm.smoke.json \
     || { echo "ci.sh: hierarchical cost exceeded flat on an intra-node group"; exit 1; }
 
 # plan_sweep asserts internally that the planner re-derives the measured
-# Table 1 winner from topology + workload alone (no hand-picked grid), and
-# round-trips its JSON through the in-tree parser before writing; CI
-# re-checks both facts on the emitted file.
-echo "== plan_sweep smoke (Table 1 winner re-derivation) =="
-cargo run -q --release --offline -p tesseract-bench --bin plan_sweep -- \
-    --mode table1 --out target/BENCH_plan.smoke.json > /dev/null
-grep -q '"winner": "tesseract\[4,4,4\]"' target/BENCH_plan.smoke.json \
+# Table 1 winner from topology + workload alone (no hand-picked grid); CI
+# re-checks it on the file regenerated above.
+echo "== plan_sweep Table 1 winner re-derivation =="
+grep -q '"winner": "tesseract\[4,4,4\]"' target/BENCH_plan.json \
     || { echo "ci.sh: planner did not select the Table 1 winner [4,4,4]"; exit 1; }
-grep -q '"matches_expected": true' target/BENCH_plan.smoke.json \
+grep -q '"matches_expected": true' target/BENCH_plan.json \
     || { echo "ci.sh: plan_sweep winner does not match the measured table"; exit 1; }
 
 # serve_sweep re-checks the serving-engine invariants internally (identical
