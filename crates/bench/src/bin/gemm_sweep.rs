@@ -23,22 +23,202 @@
 //! accepted (the per-path parity contract); scalar-vs-SIMD agreement is
 //! checked within floating-point tolerance.
 //!
+//! A second section, `shapes`, times the per-rank GEMMs of perfbench's
+//! `train_dense` (the SUMMA block products of every linear in all three
+//! orientations and the per-head attention products) on a 1-thread pool,
+//! the pool each rank's kernels use there. Each shape is checked bitwise
+//! against its 1-thread result at every swept thread count first. The
+//! shapes are timed in `--reps` interleaved rounds (one product of each per
+//! round, as a training step mixes them) on the calling thread's CPU clock
+//! on 64-bit Linux, which a shared host's steal time does not inflate, and
+//! on the wall clock elsewhere; `"shapes_clock"` names the one that ran.
+//! Rows carry a `--label` (default `current`); `--baseline FILE` copies the
+//! shape rows of an earlier run — another build on the same host — into
+//! the output ahead of this run's, so one file holds a before and an after
+//! row per shape.
+//!
 //! Reports median wall time over `--reps` runs as a table on stdout and as
 //! JSON (`--out`, default `BENCH_kernels.json`). The JSON records which
 //! micro-kernel actually ran (`"kernel"`), whether it was forced via
 //! `TESSERACT_KERNEL` (`"kernel_forced"`), the configured pool size
-//! (`"pool_threads"`), and the host's hardware parallelism (`"host_cpus"`)
-//! so a curve measured on a core-limited container is interpretable.
+//! (`"pool_threads"`), the host's hardware parallelism (`"host_cpus"`) and
+//! CPU model (`"host_cpu_model"`) so a curve measured on a core-limited
+//! container is interpretable.
 //!
 //! Run: `cargo run --release -p tesseract-bench --bin gemm_sweep -- \
 //!           [--sizes 256,512,1024] [--reps 5] [--threads 1,2,4,8] \
+//!           [--label NAME] [--baseline FILE] \
 //!           [--out BENCH_kernels.json]`
 
 use std::time::Instant;
 
 use tesseract_comm::RunConfig;
-use tesseract_tensor::matmul::{active_kernel, matmul_blocked_with, matmul_serial, MicroKernel};
+use tesseract_tensor::matmul::{
+    active_kernel, matmul_blocked_with, matmul_nt_blocked_with, matmul_serial,
+    matmul_tn_blocked_with, MicroKernel,
+};
+use tesseract_tensor::trace::json;
 use tesseract_tensor::{max_rel_diff, pool, Matrix, ThreadPool, Xoshiro256StarStar};
+
+/// Orientation of a `shapes` product: which stored operand is transposed.
+#[derive(Clone, Copy)]
+enum Orient {
+    Nn,
+    Nt,
+    Tn,
+}
+
+impl Orient {
+    fn name(self) -> &'static str {
+        match self {
+            Orient::Nn => "nn",
+            Orient::Nt => "nt",
+            Orient::Tn => "tn",
+        }
+    }
+}
+
+/// One `shapes` entry: the logical `[m,k]·[k,n]` product in an orientation.
+#[derive(Clone, Copy)]
+struct Shape {
+    m: usize,
+    k: usize,
+    n: usize,
+    orient: Orient,
+}
+
+const fn shape(m: usize, k: usize, n: usize, orient: Orient) -> Shape {
+    Shape { m, k, n, orient }
+}
+
+/// Per-rank GEMMs of perfbench's `train_dense` (`[2,2,2]` grid, batch 4 ×
+/// seq 256, hidden 256, 8 heads): SUMMA block products of the QKV, output,
+/// fc1 and fc2 linears forward (nn), input gradient (nt) and weight
+/// gradient (tn), then the per-head attention products (head_dim 32).
+const TRAIN_DENSE_SHAPES: [Shape; 15] = {
+    use Orient::{Nn, Nt, Tn};
+    [
+        shape(256, 128, 384, Nn),
+        shape(256, 128, 128, Nn),
+        shape(256, 128, 512, Nn),
+        shape(256, 512, 128, Nn),
+        shape(256, 384, 128, Nt),
+        shape(256, 128, 128, Nt),
+        shape(256, 128, 512, Nt),
+        shape(256, 512, 128, Nt),
+        shape(128, 256, 384, Tn),
+        shape(128, 256, 128, Tn),
+        shape(128, 256, 512, Tn),
+        shape(512, 256, 128, Tn),
+        shape(256, 32, 256, Nt),
+        shape(256, 256, 32, Nn),
+        shape(256, 256, 32, Tn),
+    ]
+};
+
+impl Shape {
+    fn name(&self) -> String {
+        format!("{}x{}x{}", self.m, self.k, self.n)
+    }
+
+    /// Stored operands whose product in this orientation is `[m,k]·[k,n]`.
+    fn operands(&self, rng: &mut Xoshiro256StarStar) -> (Matrix, Matrix) {
+        let (m, k, n) = (self.m, self.k, self.n);
+        let (ar, ac) = if let Orient::Tn = self.orient { (k, m) } else { (m, k) };
+        let (br, bc) = if let Orient::Nt = self.orient { (n, k) } else { (k, n) };
+        (
+            Matrix::random_uniform(ar, ac, -1.0, 1.0, rng),
+            Matrix::random_uniform(br, bc, -1.0, 1.0, rng),
+        )
+    }
+
+    fn run(&self, a: &Matrix, b: &Matrix, pool: &ThreadPool, kernel: MicroKernel) -> Matrix {
+        match self.orient {
+            Orient::Nn => matmul_blocked_with(a, b, pool, kernel),
+            Orient::Nt => matmul_nt_blocked_with(a, b, pool, kernel),
+            Orient::Tn => matmul_tn_blocked_with(a, b, pool, kernel),
+        }
+    }
+
+    fn gflops(&self, ns: f64) -> f64 {
+        2.0 * (self.m * self.k * self.n) as f64 / ns
+    }
+}
+
+/// The host's CPU model as `/proc/cpuinfo` names it (`unknown` elsewhere).
+fn cpu_model() -> String {
+    std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|s| {
+            s.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split_once(':'))
+                .map(|(_, v)| v.trim().replace('"', "'"))
+        })
+        .unwrap_or_else(|| "unknown".into())
+}
+
+/// The `shapes` rows of an earlier gemm_sweep JSON, re-serialized.
+fn baseline_rows(path: &str) -> Vec<String> {
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("reading {path}: {e}"));
+    let doc = json::parse(&text).unwrap_or_else(|e| panic!("parsing {path}: {e}"));
+    let rows = doc
+        .get("shapes")
+        .and_then(|v| v.as_array())
+        .unwrap_or_else(|| panic!("{path} has no shapes section"));
+    rows.iter()
+        .map(|r| {
+            let num = |key: &str| {
+                r.get(key).and_then(|v| v.as_f64()).unwrap_or_else(|| panic!("{path}: no {key}"))
+            };
+            let text = |key: &str| {
+                r.get(key).and_then(|v| v.as_str()).unwrap_or_else(|| panic!("{path}: no {key}"))
+            };
+            shape_row(text("build"), text("shape"), text("orient"), num("ns"), num("gflops"))
+        })
+        .collect()
+}
+
+fn shape_row(build: &str, shape: &str, orient: &str, ns: f64, gflops: f64) -> String {
+    format!(
+        "    {{ \"build\": \"{build}\", \"shape\": \"{shape}\", \"orient\": \"{orient}\", \"ns\": {ns:.0}, \"gflops\": {gflops:.3} }}"
+    )
+}
+
+/// The clock [`shape_clock_ns`] reads, as the JSON and the table name it.
+#[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+const SHAPES_CLOCK: &str = "thread CPU";
+#[cfg(not(all(target_os = "linux", target_pointer_width = "64")))]
+const SHAPES_CLOCK: &str = "wall";
+
+/// CPU nanoseconds the calling thread has used (Linux
+/// `CLOCK_THREAD_CPUTIME_ID`): unlike wall time it does not count time the
+/// hypervisor steals from a shared host's virtual CPUs.
+#[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+fn shape_clock_ns() -> f64 {
+    #[repr(C)]
+    struct Timespec {
+        tv_sec: i64,
+        tv_nsec: i64,
+    }
+    extern "C" {
+        fn clock_gettime(clock: i32, tp: *mut Timespec) -> i32;
+    }
+    const CLOCK_THREAD_CPUTIME_ID: i32 = 3;
+    let mut ts = Timespec { tv_sec: 0, tv_nsec: 0 };
+    // SAFETY: `ts` is a live, writable `struct timespec` (two 64-bit fields
+    // on 64-bit Linux) for the whole call, and clock_gettime writes only it.
+    let rc = unsafe { clock_gettime(CLOCK_THREAD_CPUTIME_ID, &mut ts) };
+    assert_eq!(rc, 0, "clock_gettime(CLOCK_THREAD_CPUTIME_ID) failed");
+    ts.tv_sec as f64 * 1e9 + ts.tv_nsec as f64
+}
+
+/// Wall nanoseconds since the first call, where no thread CPU clock is read.
+#[cfg(not(all(target_os = "linux", target_pointer_width = "64")))]
+fn shape_clock_ns() -> f64 {
+    static START: std::sync::OnceLock<Instant> = std::sync::OnceLock::new();
+    START.get_or_init(Instant::now).elapsed().as_nanos() as f64
+}
 
 /// The seed repo's `matmul`, copied verbatim (modulo `Matrix` accessors):
 /// ikj order with a zero-skip branch on `a_ik`. The branch defeats
@@ -115,6 +295,8 @@ fn main() {
     let mut reps = 5usize;
     let mut threads: Vec<usize> = vec![1, 2, 4, 8];
     let mut out_path = String::from("BENCH_kernels.json");
+    let mut label = String::from("current");
+    let mut baseline: Option<String> = None;
 
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut it = args.iter();
@@ -141,7 +323,12 @@ fn main() {
                     .collect();
             }
             "--out" => out_path = value("--out"),
-            other => panic!("unknown argument {other:?} (known: --sizes --reps --threads --out)"),
+            "--label" => label = value("--label"),
+            "--baseline" => baseline = Some(value("--baseline")),
+            other => panic!(
+                "unknown argument {other:?} \
+                 (known: --sizes --reps --threads --label --baseline --out)"
+            ),
         }
     }
 
@@ -239,6 +426,61 @@ fn main() {
         rows.push(row);
     }
 
+    let shapes = TRAIN_DENSE_SHAPES;
+    let operands: Vec<(Matrix, Matrix)> = shapes
+        .iter()
+        .enumerate()
+        .map(|(i, s)| s.operands(&mut Xoshiro256StarStar::seed_from_u64(0x5A9E + i as u64)))
+        .collect();
+    for (shape, (a, b)) in shapes.iter().zip(&operands) {
+        let reference = shape.run(a, b, &single, kernel);
+        for &t in &threads {
+            let out = shape.run(a, b, &ThreadPool::new(t), kernel);
+            let what =
+                format!("{} {} {} threads={t}", shape.name(), shape.orient.name(), kernel.name());
+            assert_bitwise(&what, &reference, &out);
+        }
+    }
+    // Interleaved rounds, one product of every shape per round, as a
+    // training step interleaves them; on the thread CPU clock each sample
+    // is the calling thread's CPU time, which is all of a 1-thread pool's
+    // work.
+    let mut samples = vec![Vec::with_capacity(reps); shapes.len()];
+    for _ in 0..reps.max(1) {
+        for ((shape, (a, b)), s) in shapes.iter().zip(&operands).zip(&mut samples) {
+            let start = shape_clock_ns();
+            let out = shape.run(a, b, &single, kernel);
+            s.push(shape_clock_ns() - start);
+            std::hint::black_box(out);
+        }
+    }
+    let mut shape_rows = baseline.as_deref().map(baseline_rows).unwrap_or_default();
+    let header = format!("{label} {SHAPES_CLOCK} ns (1 thread)");
+    println!("\n| shape        | orient | {header} | GF/s    |");
+    println!("|--------------|--------|{}|---------|", "-".repeat(header.len() + 2));
+    let mut mix_ns = 0.0;
+    for (shape, s) in shapes.iter().zip(&mut samples) {
+        s.sort_by(|a, b| a.total_cmp(b));
+        let ns = s[s.len() / 2];
+        mix_ns += ns;
+        println!(
+            "| {:<12} | {:<6} | {:>width$.0} | {:>7.3} |",
+            shape.name(),
+            shape.orient.name(),
+            ns,
+            shape.gflops(ns),
+            width = header.len(),
+        );
+        shape_rows.push(shape_row(
+            &label,
+            &shape.name(),
+            shape.orient.name(),
+            ns,
+            shape.gflops(ns),
+        ));
+    }
+    println!("shapes: one of each, summed: {:.3} ms ({SHAPES_CLOCK}, {label})", mix_ns * 1e-6);
+
     let mut json = String::from("{\n");
     json.push_str("  \"bench\": \"gemm_sweep\",\n");
     json.push_str("  \"units\": { \"time\": \"ns (median)\", \"rate\": \"GFLOP/s\" },\n");
@@ -247,6 +489,7 @@ fn main() {
     json.push_str(&format!("  \"kernel_forced\": {kernel_forced},\n"));
     json.push_str(&format!("  \"pool_threads\": {},\n", global.threads()));
     json.push_str(&format!("  \"host_cpus\": {host_cpus},\n"));
+    json.push_str(&format!("  \"host_cpu_model\": \"{}\",\n", cpu_model()));
     json.push_str(&format!(
         "  \"threads_swept\": [{}],\n",
         threads.iter().map(|t| t.to_string()).collect::<Vec<_>>().join(", ")
@@ -291,7 +534,12 @@ fn main() {
         }
         json.push_str(&format!("      ] }}{}\n", if i + 1 == rows.len() { "" } else { "," }));
     }
-    json.push_str("  ]\n}\n");
+    json.push_str("  ],\n");
+    json.push_str("  \"shapes_threads\": 1,\n");
+    json.push_str(&format!(
+        "  \"shapes_clock\": \"median {SHAPES_CLOCK} ns over interleaved rounds (one of each shape per round)\",\n"
+    ));
+    json.push_str(&format!("  \"shapes\": [\n{}\n  ]\n}}\n", shape_rows.join(",\n")));
     std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("writing {out_path}: {e}"));
     println!("\nwrote {out_path}");
 }

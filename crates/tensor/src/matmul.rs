@@ -24,6 +24,25 @@
 //!   `#[target_feature(enable = "avx2,fma")]`, selected only when
 //!   `is_x86_feature_detected!` proves the host supports it.
 //!
+//! Remainder tiles (a row panel shorter than `MR` or a column panel
+//! narrower than `NR`) run plain mul+add on every backend. On AVX2 that is
+//! a clipped `6×16` tile of `_mm256_mul_ps` then `_mm256_add_ps`: two
+//! roundings per step, exactly the scalar `acc += a·b`, so every element a
+//! remainder tile computes is bitwise equal to the `*_serial` loops.
+//! `BLOCK_M = 64` is not a multiple of 6, so rows 60–63 of every row block
+//! take this path.
+//!
+//! **Scratch reuse.** Apart from C, the blocked path allocates nothing per
+//! call: packed B (built by the submitting thread) and each task's packed A
+//! panels live in thread-local buffers that every later GEMM on the same
+//! thread reuses. A thread keeps at most the largest packed B it has built
+//! (`⌈k/BLOCK_K⌉·⌈n/NR⌉·min(k, BLOCK_K)·NR` f32) plus one A block of at
+//! most `⌈BLOCK_M/MR⌉·MR·BLOCK_K` f32 (66 KiB on AVX2). The buffers are
+//! never cleared: packing writes every value a micro-kernel reads, and
+//! re-zeroes the padded lanes (B's column remainder, A's row remainder) on
+//! every pack, so stale contents never reach a result. There is no knob:
+//! reuse is unconditional.
+//!
 //! The backend is resolved **once per process** ([`active_kernel`], a
 //! `OnceLock`): auto-detection by default, or forced with
 //! `TESSERACT_KERNEL=scalar|avx2` for testing and benchmarking. Dispatch
@@ -39,10 +58,13 @@
 //! at any thread count, so the pool size can never change a result. The
 //! scalar backend is additionally bitwise-identical to the `*_serial`
 //! triple loops. *Across* backends results agree only within floating-point
-//! tolerance: AVX2 uses fused multiply-add (one rounding per `a·b + c`
-//! instead of two), so its k-chains round differently than scalar mul+add.
+//! tolerance: AVX2 full tiles use fused multiply-add (one rounding per
+//! `a·b + c` instead of two), so their k-chains round differently than
+//! scalar mul+add; AVX2 remainder tiles do not.
 
+use std::cell::Cell;
 use std::sync::OnceLock;
+use std::thread::LocalKey;
 
 use crate::matrix::Matrix;
 use crate::pool::{self, ThreadPool};
@@ -399,57 +421,102 @@ fn gemm_blocked(
     if m == 0 || n == 0 || k == 0 {
         return c;
     }
-    // B is packed ONCE, up front, and shared read-only by every task —
-    // repacking it per row-block would add O(k·n) copies per task.
-    let b_packed = PackedB::new(orient, b, k, n, kernel.nr());
-    let n_tasks = m.div_ceil(BLOCK_M);
-    let c_ptr = CPtr(c.data_mut().as_mut_ptr());
-    pool.parallel_for(n_tasks, &|t| {
-        let i0 = t * BLOCK_M;
-        let i1 = (i0 + BLOCK_M).min(m);
-        // SAFETY: tasks receive disjoint row ranges of C (task t owns rows
-        // [t·BLOCK_M, (t+1)·BLOCK_M)), and `parallel_for` completes before
-        // `c` is touched again by this thread.
-        let c_rows =
-            unsafe { std::slice::from_raw_parts_mut(c_ptr.get().add(i0 * n), (i1 - i0) * n) };
-        gemm_row_block(kernel, orient, a, &b_packed, c_rows, i0, i1 - i0, k, n);
+    // B is packed ONCE, up front, into the submitting thread's scratch and
+    // shared read-only by every task — repacking it per row-block would add
+    // O(k·n) copies per task.
+    let nr = kernel.nr();
+    let b_len = PackedB::len(k, n, nr);
+    with_scratch(&B_PACK, b_len, |buf| {
+        let b_packed = PackedB::pack(orient, b, k, n, nr, buf);
+        let n_tasks = m.div_ceil(BLOCK_M);
+        let c_ptr = CPtr(c.data_mut().as_mut_ptr());
+        pool.parallel_for(n_tasks, &|t| {
+            let i0 = t * BLOCK_M;
+            let i1 = (i0 + BLOCK_M).min(m);
+            // SAFETY: tasks receive disjoint row ranges of C (task t owns
+            // rows [t·BLOCK_M, (t+1)·BLOCK_M)), and `parallel_for` completes
+            // before `c` is touched again by this thread.
+            let c_rows =
+                unsafe { std::slice::from_raw_parts_mut(c_ptr.get().add(i0 * n), (i1 - i0) * n) };
+            gemm_row_block(kernel, orient, a, &b_packed, c_rows, i0, i1 - i0, k, n);
+        });
     });
     c
 }
 
-/// All of logical B repacked into `nr`-column micro-panels, grouped by
-/// k-tile: slot `(kc_idx, q)` holds `B[kc .. kc+kb, q·nr .. q·nr+nr]` as
-/// `kb` rows of `nr` contiguous values (zero-padded at both remainders).
-/// Padded lanes feed don't-care accumulator columns that are never stored.
-/// One implementation serves every micro-kernel backend: the panel width
-/// `nr` is a constructor parameter, and each `(k-tile, column-panel)` slot
-/// is the fixed size `BLOCK_K·nr` so panel addresses are computable without
-/// per-tile offset tables.
-struct PackedB {
-    buf: Vec<f32>,
-    n_panels: usize,
-    nr: usize,
+thread_local! {
+    /// Packed-B scratch of the thread that submits a blocked GEMM.
+    static B_PACK: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
+    /// Packed-A scratch of the thread that runs a row-block task.
+    static A_PACK: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
 }
 
-impl PackedB {
-    fn new(orient: Orient, b: &Matrix, k: usize, n: usize, nr: usize) -> Self {
-        let slot = BLOCK_K * nr;
+/// Runs `f` on the first `len` f32 of this thread's `scratch` buffer,
+/// growing it first if it is shorter. The buffer keeps its size across
+/// calls (bounded by the largest `len` the thread has asked for) and its
+/// contents are stale: `f` must write every value it reads. The buffer is
+/// moved out for the duration, so a nested call on the same thread finds
+/// an empty cell and uses a buffer of its own.
+fn with_scratch<R>(
+    scratch: &'static LocalKey<Cell<Vec<f32>>>,
+    len: usize,
+    f: impl FnOnce(&mut [f32]) -> R,
+) -> R {
+    let mut buf = scratch.take();
+    if buf.len() < len {
+        buf = vec![0.0; len];
+    }
+    let out = f(&mut buf[..len]);
+    scratch.set(buf);
+    out
+}
+
+/// All of logical B repacked into `nr`-column micro-panels, grouped by
+/// k-tile: slot `(kc_idx, q)` holds `B[kc .. kc+kb, q·nr .. q·nr+nr]` as
+/// `kb` rows of `nr` contiguous values. The column remainder is zero-filled
+/// on every pack (the buffer is reused, so nothing is zero beforehand); its
+/// lanes feed don't-care accumulator columns that are never stored. Rows
+/// `kb..kstride` of a short last k-tile are neither written nor read.
+/// One implementation serves every micro-kernel backend: the panel width
+/// `nr` is a parameter, and each `(k-tile, column-panel)` slot is the fixed
+/// size `kstride·nr` (`kstride = min(k, BLOCK_K)`) so panel addresses are
+/// computable without per-tile offset tables.
+struct PackedB<'a> {
+    buf: &'a [f32],
+    n_panels: usize,
+    nr: usize,
+    kstride: usize,
+}
+
+impl<'a> PackedB<'a> {
+    /// f32 count of the packed form of a `[k, n]` logical B.
+    fn len(k: usize, n: usize, nr: usize) -> usize {
+        k.div_ceil(BLOCK_K) * n.div_ceil(nr) * k.min(BLOCK_K) * nr
+    }
+
+    /// Packs logical B into `buf` (exactly [`PackedB::len`] f32, contents
+    /// stale on entry).
+    fn pack(orient: Orient, b: &Matrix, k: usize, n: usize, nr: usize, buf: &'a mut [f32]) -> Self {
+        let kstride = k.min(BLOCK_K);
+        let slot = kstride * nr;
         let n_panels = n.div_ceil(nr);
-        let k_tiles = k.div_ceil(BLOCK_K);
-        // Pre-zeroed, each slot written once: padding needs no extra pass.
-        let mut buf = vec![0.0f32; k_tiles * n_panels * slot];
+        debug_assert_eq!(buf.len(), Self::len(k, n, nr));
         for (kc_idx, kc) in (0..k).step_by(BLOCK_K).enumerate() {
             let kb = (k - kc).min(BLOCK_K);
             for q in 0..n_panels {
-                let slot_buf = &mut buf[(kc_idx * n_panels + q) * slot..][..slot];
+                let slot_buf = &mut buf[(kc_idx * n_panels + q) * slot..][..kb * nr];
                 let j = q * nr;
                 let cols = (n - j).min(nr);
+                if cols < nr {
+                    for row in slot_buf.chunks_exact_mut(nr) {
+                        row[cols..].fill(0.0);
+                    }
+                }
                 match orient {
                     Orient::Nn | Orient::Tn => {
                         // Stored row-major [k, n]: copy a row stripe per kk.
-                        for kk in 0..kb {
-                            let src = &b.row(kc + kk)[j..j + cols];
-                            slot_buf[kk * nr..kk * nr + cols].copy_from_slice(src);
+                        for (kk, row) in slot_buf.chunks_exact_mut(nr).enumerate() {
+                            row[..cols].copy_from_slice(&b.row(kc + kk)[j..j + cols]);
                         }
                     }
                     Orient::Nt => {
@@ -465,11 +532,11 @@ impl PackedB {
                 }
             }
         }
-        Self { buf, n_panels, nr }
+        Self { buf, n_panels, nr, kstride }
     }
 
     fn panel(&self, kc_idx: usize, q: usize) -> &[f32] {
-        let slot = BLOCK_K * self.nr;
+        let slot = self.kstride * self.nr;
         &self.buf[(kc_idx * self.n_panels + q) * slot..][..slot]
     }
 }
@@ -519,38 +586,40 @@ fn gemm_row_block_g<const MR: usize, const NR: usize>(
     debug_assert_eq!((MR, NR), (kernel.mr(), kernel.nr()));
     debug_assert_eq!(b_packed.nr, NR, "B packed for a different backend");
     let row_panels = mb.div_ceil(MR);
-    let mut a_pack = vec![0.0f32; row_panels * MR * k.min(BLOCK_K)];
-    for (kc_idx, kc) in (0..k).step_by(BLOCK_K).enumerate() {
-        let kb = (k - kc).min(BLOCK_K);
-        pack_a(orient, a, &mut a_pack, i0, mb, kc, kb, MR);
-        for q in 0..b_packed.n_panels {
-            let cols = (n - q * NR).min(NR);
-            let b_panel = b_packed.panel(kc_idx, q);
-            for p in 0..row_panels {
-                let rows = (mb - p * MR).min(MR);
-                let a_panel = &a_pack[p * kb * MR..(p + 1) * kb * MR];
-                micro_kernel::<MR, NR>(
-                    kernel,
-                    a_panel,
-                    b_panel,
-                    kb,
-                    c_rows,
-                    p * MR,
-                    q * NR,
-                    n,
-                    rows,
-                    cols,
-                );
+    with_scratch(&A_PACK, row_panels * MR * k.min(BLOCK_K), |a_pack| {
+        for (kc_idx, kc) in (0..k).step_by(BLOCK_K).enumerate() {
+            let kb = (k - kc).min(BLOCK_K);
+            pack_a(orient, a, a_pack, i0, mb, kc, kb, MR);
+            for q in 0..b_packed.n_panels {
+                let cols = (n - q * NR).min(NR);
+                let b_panel = b_packed.panel(kc_idx, q);
+                for p in 0..row_panels {
+                    let rows = (mb - p * MR).min(MR);
+                    let a_panel = &a_pack[p * kb * MR..(p + 1) * kb * MR];
+                    micro_kernel::<MR, NR>(
+                        kernel,
+                        a_panel,
+                        b_panel,
+                        kb,
+                        c_rows,
+                        p * MR,
+                        q * NR,
+                        n,
+                        rows,
+                        cols,
+                    );
+                }
             }
         }
-    }
+    });
 }
 
 /// `MR×NR` register-tile update: `C[tile] += Apanel · Bpanel` over `kb`
 /// depth steps. Full tiles take the backend's fast path; remainder tiles
-/// take the shared scalar edge path. Which path computes an element is a
-/// pure function of shape and tile constants — never of thread count — so
-/// each backend stays bitwise deterministic (the per-path parity contract).
+/// take the backend's edge path, plain mul+add on every backend. Which path
+/// computes an element is a pure function of shape and tile constants —
+/// never of thread count — so each backend stays bitwise deterministic (the
+/// per-path parity contract).
 #[allow(clippy::too_many_arguments)]
 #[inline]
 fn micro_kernel<const MR: usize, const NR: usize>(
@@ -584,7 +653,23 @@ fn micro_kernel<const MR: usize, const NR: usize>(
             }
         }
     } else {
-        micro_kernel_edge::<MR, NR>(a_panel, b_panel, kb, c_rows, ci, cj, n, rows, cols);
+        match kernel {
+            MicroKernel::Scalar => {
+                micro_kernel_edge::<MR, NR>(a_panel, b_panel, kb, c_rows, ci, cj, n, rows, cols)
+            }
+            MicroKernel::Avx2 => {
+                #[cfg(target_arch = "x86_64")]
+                // SAFETY: as for the full tile, avx2 support was verified at
+                // selection time; the A panel holds `kb·MR` and the B panel
+                // at least `kb·NR` f32 by construction, and the edge kernel
+                // clips every C access to the valid `rows × cols` region.
+                unsafe {
+                    micro_kernel_avx2_edge(a_panel, b_panel, kb, c_rows, ci, cj, n, rows, cols)
+                }
+                #[cfg(not(target_arch = "x86_64"))]
+                unreachable!("Avx2 backend cannot be selected off x86_64")
+            }
+        }
     }
 }
 
@@ -673,10 +758,71 @@ unsafe fn micro_kernel_avx2(
     }
 }
 
-/// Remainder tiles at the right/bottom edges, shared by every backend:
-/// same ascending-k arithmetic as the scalar full tile (plain mul+add),
-/// but loads and stores clip to the valid `rows × cols` region (padded
-/// accumulator lanes are computed and discarded). Not speed-critical.
+/// AVX2 remainder tile at the right/bottom edges: the clipped C region is
+/// staged in a zero-padded `6×16` tile so the depth loop runs on full
+/// vectors, and each step is `_mm256_mul_ps` then `_mm256_add_ps` — two
+/// roundings, exactly the scalar `acc += a·b` of [`micro_kernel_edge`], never
+/// a fused multiply-add. Every stored element is therefore bitwise equal to
+/// the serial triple loops; padded lanes are computed and discarded.
+///
+/// # Safety
+/// Caller must guarantee the host supports `avx2`, that `a_panel` holds at
+/// least `kb·6` f32 and `b_panel` at least `kb·16`, and that rows
+/// `ci..ci+rows` × cols `cj..cj+cols` are in-bounds in `c_rows` (row stride
+/// `n`), with `rows <= 6` and `cols <= 16`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn micro_kernel_avx2_edge(
+    a_panel: &[f32],
+    b_panel: &[f32],
+    kb: usize,
+    c_rows: &mut [f32],
+    ci: usize,
+    cj: usize,
+    n: usize,
+    rows: usize,
+    cols: usize,
+) {
+    use std::arch::x86_64::*;
+    debug_assert!(a_panel.len() >= kb * AVX2_MR && b_panel.len() >= kb * AVX2_NR);
+    debug_assert!(rows <= AVX2_MR && cols <= AVX2_NR);
+    let mut tile = [[0.0f32; AVX2_NR]; AVX2_MR];
+    for (r, tile_row) in tile.iter_mut().enumerate().take(rows) {
+        tile_row[..cols].copy_from_slice(&c_rows[(ci + r) * n + cj..][..cols]);
+    }
+    let mut acc = [[_mm256_setzero_ps(); 2]; AVX2_MR];
+    for (acc_row, tile_row) in acc.iter_mut().zip(&tile) {
+        acc_row[0] = _mm256_loadu_ps(tile_row.as_ptr());
+        acc_row[1] = _mm256_loadu_ps(tile_row.as_ptr().add(8));
+    }
+    let mut ap = a_panel.as_ptr();
+    let mut bp = b_panel.as_ptr();
+    for _ in 0..kb {
+        let b0 = _mm256_loadu_ps(bp);
+        let b1 = _mm256_loadu_ps(bp.add(8));
+        for (r, acc_row) in acc.iter_mut().enumerate() {
+            let ar = _mm256_broadcast_ss(&*ap.add(r));
+            acc_row[0] = _mm256_add_ps(acc_row[0], _mm256_mul_ps(ar, b0));
+            acc_row[1] = _mm256_add_ps(acc_row[1], _mm256_mul_ps(ar, b1));
+        }
+        ap = ap.add(AVX2_MR);
+        bp = bp.add(AVX2_NR);
+    }
+    for (acc_row, tile_row) in acc.iter().zip(tile.iter_mut()) {
+        _mm256_storeu_ps(tile_row.as_mut_ptr(), acc_row[0]);
+        _mm256_storeu_ps(tile_row.as_mut_ptr().add(8), acc_row[1]);
+    }
+    for (r, tile_row) in tile.iter().enumerate().take(rows) {
+        c_rows[(ci + r) * n + cj..][..cols].copy_from_slice(&tile_row[..cols]);
+    }
+}
+
+/// Scalar remainder tiles at the right/bottom edges (and the reference the
+/// AVX2 edge tile reproduces bit for bit): same ascending-k arithmetic as
+/// the scalar full tile (plain mul+add), but loads and stores clip to the
+/// valid `rows × cols` region (padded accumulator lanes are computed and
+/// discarded).
 #[allow(clippy::too_many_arguments)]
 fn micro_kernel_edge<const MR: usize, const NR: usize>(
     a_panel: &[f32],
@@ -709,8 +855,9 @@ fn micro_kernel_edge<const MR: usize, const NR: usize>(
 }
 
 /// Packs logical-A rows `[i0, i0+mb) × [kc, kc+kb)` into `mr`-row panels:
-/// `buf[(panel·kb + kk)·mr + r]`, zero-padding the row remainder (padded
-/// rows are computed into don't-care accumulator lanes and never stored).
+/// `buf[(panel·kb + kk)·mr + r]`, zero-filling the row remainder on every
+/// pack, since `buf` is reused scratch (padded rows are computed into
+/// don't-care accumulator lanes and never stored).
 /// Shared by every micro-kernel backend via the `mr` parameter.
 #[allow(clippy::too_many_arguments)]
 fn pack_a(
@@ -930,6 +1077,21 @@ mod tests {
                 "scalar and avx2 backends diverged beyond FMA rounding"
             );
         }
+    }
+
+    /// Pack scratch is reused, not reallocated, and keeps stale contents;
+    /// a nested call on the same thread gets a buffer of its own.
+    #[test]
+    fn pack_scratch_is_reused_and_nesting_is_safe() {
+        let first = with_scratch(&A_PACK, 100, |buf| {
+            buf.fill(7.0);
+            buf.as_ptr()
+        });
+        with_scratch(&A_PACK, 50, |buf| {
+            assert_eq!(buf.as_ptr(), first, "a shorter request must reuse the buffer");
+            assert!(buf.iter().all(|&v| v == 7.0), "scratch is not cleared between calls");
+            with_scratch(&A_PACK, 10, |inner| assert_ne!(inner.as_ptr(), first));
+        });
     }
 
     #[test]

@@ -13,6 +13,10 @@
 //!   an element depends only on shape and tile constants), and agrees with
 //!   the scalar path within floating-point tolerance — FMA fuses `a·b + c`
 //!   into one rounding, so the two backends' chains round differently.
+//!   Its remainder tiles run vector mul then add, so every element they
+//!   compute is bitwise identical to `*_serial`.
+//! * **Pack scratch**: per-thread pack buffers are reused across GEMMs, and
+//!   nothing an earlier product left in them ever reaches a result.
 //!
 //! Blocking and parallelism only change iteration *grouping*, never a
 //! backend's per-element floating-point evaluation order.
@@ -251,4 +255,129 @@ fn public_entry_points_match_the_active_kernel_above_the_dispatch_threshold() {
         &matmul_tn_blocked_with(&a, &b, &single, kernel),
         &tesseract_tensor::matmul::matmul_tn(&a, &b),
     );
+}
+
+/// Whether the AVX2 backend computes element `(i, j)` of an `m×n` output in
+/// a remainder tile: its row panel (within its `BLOCK_M` row block) has
+/// fewer than `MR` rows, or its column panel fewer than `NR` columns.
+fn avx2_remainder_tile(i: usize, j: usize, m: usize, n: usize) -> bool {
+    let (mr, nr) = (MicroKernel::Avx2.mr(), MicroKernel::Avx2.nr());
+    let block = i / BLOCK_M * BLOCK_M;
+    let mb = (m - block).min(BLOCK_M);
+    let panel = (i - block) / mr * mr;
+    let rows = (mb - panel).min(mr);
+    let cols = (n - j / nr * nr).min(nr);
+    rows < mr || cols < nr
+}
+
+/// The AVX2 backend's remainder tiles use plain mul+add (no FMA), so every
+/// element they compute is bitwise equal to the serial triple loops, in
+/// every orientation. Full tiles may differ (FMA); remainder tiles never.
+#[test]
+fn avx2_remainder_tiles_match_serial_bitwise() {
+    if !MicroKernel::Avx2.supported() {
+        eprintln!("avx2 not supported on this host; remainder-tile contract not applicable");
+        return;
+    }
+    let pool = ThreadPool::new(2);
+    let kernel = MicroKernel::Avx2;
+    let mut shapes = adversarial_shapes();
+    shapes.extend([(256, 128, 384), (128, 256, 512), (256, 256, 32)]);
+    let mut checked = 0usize;
+    for (m, k, n) in shapes {
+        let a = gen(m, k, 40);
+        let b = gen(k, n, 41);
+        let bt = gen(n, k, 42);
+        let at = gen(k, m, 43);
+        for (orient, serial, blocked) in [
+            ("nn", matmul_serial(&a, &b), matmul_blocked_with(&a, &b, &pool, kernel)),
+            ("nt", matmul_nt_serial(&a, &bt), matmul_nt_blocked_with(&a, &bt, &pool, kernel)),
+            ("tn", matmul_tn_serial(&at, &b), matmul_tn_blocked_with(&at, &b, &pool, kernel)),
+        ] {
+            for i in 0..m {
+                for j in 0..n {
+                    if !avx2_remainder_tile(i, j, m, n) {
+                        continue;
+                    }
+                    let (s, v) = (serial[(i, j)], blocked[(i, j)]);
+                    assert_eq!(
+                        s.to_bits(),
+                        v.to_bits(),
+                        "avx2 {orient} {m}x{k}x{n}: remainder element ({i},{j}) {v} vs serial {s}"
+                    );
+                    checked += 1;
+                }
+            }
+        }
+    }
+    // (256,128,384) alone has 4 remainder rows in each of 4 row blocks.
+    assert!(checked >= 3 * 16 * 384, "only {checked} remainder elements checked");
+}
+
+/// Operands with NaN, +inf and -inf spread through ordinary values.
+fn poisoned(rows: usize, cols: usize, seed: u64) -> Matrix {
+    let mut m = gen(rows, cols, seed);
+    for (i, v) in m.data_mut().iter_mut().enumerate() {
+        match i % 7 {
+            0 => *v = f32::NAN,
+            3 => *v = f32::INFINITY,
+            5 => *v = f32::NEG_INFINITY,
+            _ => {}
+        }
+    }
+    m
+}
+
+/// Remainder-heavy products in all three orientations.
+fn remainder_heavy_products(kernel: MicroKernel, pool: &ThreadPool) -> Vec<Matrix> {
+    let mut out = Vec::new();
+    for (s, &(m, k, n)) in
+        [(70, 97, 45), (7, 13, 23), (65, 130, 97), (190, 5, 6), (5, 20, 15), (BLOCK_M + 1, 300, 33)]
+            .iter()
+            .enumerate()
+    {
+        let seed = 50 + 4 * s as u64;
+        let (a, b, bt, at) =
+            (gen(m, k, seed), gen(k, n, seed + 1), gen(n, k, seed + 2), gen(k, m, seed + 3));
+        out.push(matmul_blocked_with(&a, &b, pool, kernel));
+        out.push(matmul_nt_blocked_with(&a, &bt, pool, kernel));
+        out.push(matmul_tn_blocked_with(&at, &b, pool, kernel));
+    }
+    out
+}
+
+/// Pack buffers are per-thread scratch reused across GEMMs. Whatever an
+/// earlier product left in them (here NaN and ±inf from a larger GEMM) must
+/// never reach a later result: products after the poisoning GEMM equal, bit
+/// for bit, the same products on freshly spawned threads.
+#[test]
+fn stale_pack_scratch_never_reaches_results() {
+    for kernel in testable_kernels() {
+        for threads in [1, 2] {
+            let fresh = std::thread::spawn(move || {
+                remainder_heavy_products(kernel, &ThreadPool::new(threads))
+            })
+            .join()
+            .unwrap();
+            let reused = std::thread::spawn(move || {
+                let pool = ThreadPool::new(threads);
+                let (m, k, n) = (3 * BLOCK_M + 5, 2 * BLOCK_K + 40, BLOCK_N + 50);
+                let (a, b) = (poisoned(m, k, 60), poisoned(k, n, 61));
+                let (at, bt) = (poisoned(k, m, 62), poisoned(n, k, 63));
+                let dirty = [
+                    matmul_blocked_with(&a, &b, &pool, kernel),
+                    matmul_nt_blocked_with(&a, &bt, &pool, kernel),
+                    matmul_tn_blocked_with(&at, &b, &pool, kernel),
+                ];
+                assert!(dirty.iter().all(|c| c.data().iter().any(|v| v.is_nan())));
+                remainder_heavy_products(kernel, &pool)
+            })
+            .join()
+            .unwrap();
+            for (i, (f, r)) in fresh.iter().zip(&reused).enumerate() {
+                let label = format!("{} threads={threads} product {i}", kernel.name());
+                assert_bitwise_eq(&label, f, r);
+            }
+        }
+    }
 }

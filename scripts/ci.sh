@@ -20,6 +20,23 @@ if [ -n "$stray" ]; then
     exit 1
 fi
 
+# GEMM pack buffers are per-thread scratch, reused unconditionally: there
+# is no TESSERACT_* variable beyond the four RunConfig documents, and the
+# tensor crate exposes no public scratch/pack item that could switch reuse.
+echo "== GEMM scratch gate (no new TESSERACT_* variable, no public pack knob) =="
+vars=$(grep -rhoE 'TESSERACT_[A-Z0-9_]+' crates src --include='*.rs' | sort -u | tr '\n' ' ')
+if [ "$vars" != "TESSERACT_KERNEL TESSERACT_RENDEZVOUS_TIMEOUT_SECS TESSERACT_THREADS TESSERACT_TRACE " ]; then
+    echo "ci.sh: TESSERACT_* variables changed: $vars"
+    exit 1
+fi
+knob=$(grep -rnE 'pub (fn|static|const|struct|enum) [A-Za-z0-9_]*(scratch|SCRATCH|Scratch|pack|PACK|Pack|reuse|REUSE|Reuse)' \
+    crates/tensor/src || true)
+if [ -n "$knob" ]; then
+    echo "ci.sh: public pack-scratch item in the tensor crate:"
+    echo "$knob"
+    exit 1
+fi
+
 # Traces are regenerated artifacts (serve_sweep writes them under target/);
 # none may be committed.
 echo "== trace-artifact gate (no committed TRACE_*.json) =="
@@ -53,6 +70,12 @@ grep -Eq '"kernel": "(scalar|avx2)"' target/BENCH_kernels.smoke.json \
     || { echo "ci.sh: auto-detect run reported no kernel path"; exit 1; }
 grep -q '"pool_threads": 2' target/BENCH_kernels.smoke.json \
     || { echo "ci.sh: TESSERACT_THREADS=2 not reflected in sweep JSON"; exit 1; }
+# The shapes section times the train_dense per-rank GEMMs, each checked
+# bitwise against its 1-thread result at every swept thread count first.
+grep -q '"shapes": \[' target/BENCH_kernels.smoke.json \
+    || { echo "ci.sh: gemm_sweep wrote no shapes section"; exit 1; }
+grep -q '"shape": "256x128x384", "orient": "nn", "ns": [0-9]' target/BENCH_kernels.smoke.json \
+    || { echo "ci.sh: shapes section lacks the train_dense QKV row"; exit 1; }
 
 # Hosts that auto-detect AVX2 must also honor forcing it explicitly.
 if grep -q '"kernel": "avx2"' target/BENCH_kernels.smoke.json; then
